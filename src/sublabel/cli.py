@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 means found/ok, 1 means an
 exhaustive negative (no solutions, or no side classified), 2 means a
-usage or validation problem.
+usage or validation problem, 141 means stdout was closed before the
+output was written (for example by `| head`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .document import DocumentError, LabelingDocument, from_json, to_dot
 from .labeling import BijectionError, classify, weight_profile
 from .search import (DEFAULT_CAP, ENV_CAP_VAR, SearchCapError, SearchQuery,
                      Target, search)
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
 
 # which orientation each (family, kind) construction is defined on
 _KIND_ORIENTATION = {
@@ -158,8 +161,8 @@ def _cmd_search(args) -> int:
     except (ParameterError, DocumentError, TypeError) as exc:
         return _fail(str(exc))
     side, kind = _CLASS_TOKENS[args.klass]
-    target = Target(side, kind, a=args.a, d=args.d)
     try:
+        target = Target(side, kind, a=args.a, d=args.d)
         query = SearchQuery(graph, target,
                             require_strong=args.strong,
                             require_strong_star=args.strong_star,
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--limit", type=int, default=None, help="witness bound for collect-up-to")
     s.add_argument("--cap", type=int, default=None,
                    help=f"search size cap (default {DEFAULT_CAP}, or ${ENV_CAP_VAR})")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="processes to split the top-level branches over (at least 1)")
     s.set_defaults(func=_cmd_search)
 
     e = sub.add_parser("export", help="render a document as DOT or JSON")
@@ -247,7 +251,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`sublabel ... | head`); point
+        # stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,13 +6,29 @@ order over that slot sequence, which makes every result reproducible.
 
 Two enumerators share the skeleton:
 
-* the pruned kernel cuts branches using the label-sum identities (the sum
-  of the vertex weights always equals the sum of the vertex labels, and
-  on graphs with in-degree == out-degree everywhere the sum of the arc
-  weights equals the sum of the arc labels), forces arc labels once a
-  magic constant is pinned down, rejects duplicate weights among fully
-  determined weights for distinctness targets, and cuts partial vertex
-  weights that cannot reach the magic constant any more;
+* the pruned kernel cuts branches with rules taken from the definitions.
+  Magic targets are settled while the vertex labels are placed:
+
+  1. the magic constant mu follows from the label-sum identities.  On the
+     vertex side V * mu is the sum of the vertex labels.  On the arc side
+     arc i must get the label mu - b_i, where b_i = vl[head] - vl[tail] is
+     its base, and the arc labels sum to N(N+1)/2 - sum(vl), so
+     A * mu = N(N+1)/2 - sum((1 - in(v) + out(v)) * vl[v]) on every
+     digraph.  Every arc-magic arc label is forced once the vertices are
+     placed;
+  2. arc-magic bases: as soon as both endpoints of an arc are labelled,
+     its base must differ from every earlier base (the forced labels are
+     distinct) and the spread max(b) - min(b) must stay within
+     a_hi - a_lo (the forced labels share one label range).  Each slot
+     offers only the labels that keep the spread;
+  3. last-slot residue cut: the last vertex slot offers only the labels
+     that make mu an integer.
+
+  Distinctness targets reject duplicate weights among the fully
+  determined weights, pinned arithmetic targets reject weights outside
+  the progression, and vertex-magic targets force the label of the last
+  open arc of a vertex and cut partial vertex weights that cannot reach mu
+  any more.  A node is counted only for a placement that passes its rules;
 * the reference enumerator visits every partial assignment and filters
   complete labelings through the classifier.
 
@@ -20,8 +36,13 @@ Pruning never changes the solution set, only the number of visited
 nodes; the test suite checks both enumerators against each other.
 
 The search space is N!, so the entry point refuses graphs beyond a cap
-(default 12) unless the caller overrides it.  Searches at N = 13 are
-minutes-scale, single-threaded, in the worst case.
+(default 12) unless the caller overrides it.  The cost depends on the
+target far more than on N.  Measured single-threaded on a 2-core x86-64
+host with Python 3.11: the count-all arc-magic search of the 7-cycle
+(N = 14) visits 545,164 nodes in about 2 s, cycle(6) vertex-magic
+(N = 12) about 1.1M nodes in 3 s, while unpinned arithmetic targets stay
+expensive: cycle(5) vertex-arithmetic (N = 10) took 36-47 s and
+friendship(2) arc-arithmetic (N = 11) 4-6 minutes over separate runs.
 """
 
 from __future__ import annotations
@@ -29,6 +50,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
 from .digraph import Digraph
 from .labeling import TotalLabeling, Verdict, classify, verdict_of
@@ -64,6 +87,10 @@ class Target:
             raise ValueError(f"target side must be one of {TARGET_SIDES}, got {self.side!r}")
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {self.kind!r}")
+        if self.kind != "arithmetic" and (self.a is not None or self.d is not None):
+            raise ValueError(f"a and d apply to arithmetic targets only, not to {self.kind}")
+        if self.d is not None and self.d < 1:
+            raise ValueError(f"the weight difference d must be at least 1, got {self.d}")
 
     def matches(self, verdict: Verdict) -> bool:
         if self.kind == "magic":
@@ -161,6 +188,14 @@ class SearchReport:
 class _Kernel:
     """One enumerator instance; run() explores (a branch of) the tree."""
 
+    # slots keep attribute access in the inner loops fast however many
+    # attributes the rules add
+    __slots__ = ("g", "query", "target", "pruned", "V", "A", "N", "tails", "heads",
+                 "in_arcs", "out_arcs", "total", "v_lo", "v_hi", "a_lo", "a_hi",
+                 "allowed", "completes", "residue", "base_used", "spread", "coef",
+                 "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
+                 "bmin", "bmax", "seen", "pw", "rem_in", "rem_out", "mu")
+
     def __init__(self, query: SearchQuery, pruned: bool):
         g = query.graph
         self.g = g
@@ -177,8 +212,6 @@ class _Kernel:
         for i, (t, h) in enumerate(g.arcs):
             self.out_arcs[t].append(i)
             self.in_arcs[h].append(i)
-        self.eulerian = all(len(self.in_arcs[v]) == len(self.out_arcs[v])
-                            for v in range(self.V))
         self.total = self.N * (self.N + 1) // 2
         # label domains; the reference enumerator checks the strong flags
         # at the leaves instead, so it keeps full domains
@@ -197,13 +230,46 @@ class _Kernel:
         self.allowed = None
         if pruned and t.kind == "arithmetic" and t.a is not None and t.d is not None:
             self.allowed = {t.a + j * t.d for j in range(side_count)}
+        # vertex-phase rules for magic targets.  completes[s] lists, as
+        # (other endpoint, sign), the arcs whose second endpoint is vertex
+        # s; the base vl[head] - vl[tail] of such an arc is
+        # sign * (vl[s] - vl[other]).
+        self.completes = [()] * self.V
+        self.residue = None
+        self.base_used = None
+        self.spread = self.a_hi - self.a_lo
+        if pruned and t.kind == "magic" and t.side == "arc" and self.A:
+            completes = [[] for _ in range(self.V)]
+            for tail, head in g.arcs:
+                if tail < head:
+                    completes[head].append((tail, 1))
+                else:
+                    completes[tail].append((head, -1))
+            self.completes = [tuple(c) for c in completes]
+            self.base_used = [False] * (2 * self.N + 1)  # base b at index b + N
+            # A * mu = total - sum((1 - in(v) + out(v)) * vl[v])
+            self.coef = [1 - len(self.in_arcs[v]) + len(self.out_arcs[v])
+                         for v in range(self.V)]
+            self._set_residue(self.coef, self.total, self.A)
+        elif pruned and t.kind == "magic" and t.side == "vertex" and self.V:
+            self._set_residue([1] * self.V, 0, self.V)  # V * mu = sum(vl)
+
+    def _set_residue(self, coef: list[int], k: int, m: int):
+        """Make the last vertex slot keep sum(coef[v] * vl[v]) == k (mod m).
+
+        With c the coefficient of the last slot and r = k minus the sum over
+        the earlier slots, the last label x needs c * x == r (mod m): no x
+        unless g = gcd(c, m) divides r, else x == (r / g) * inv
+        (mod m / g), where inv is the inverse of c / g modulo m / g.
+        """
+        c = coef[-1]
+        g = gcd(c, m)
+        step = m // g
+        self.residue = (coef[:-1], k, g, step, pow(c // g, -1, step))
 
     def first_labels(self) -> list[int]:
         """Slot-0 label choices, in canonical order (for branch splitting)."""
-        if self.N == 0:
-            return []
-        lo, hi = (self.v_lo, self.v_hi) if self.V else (self.a_lo, self.a_hi)
-        return list(range(lo, hi + 1))
+        return list(range(self.v_lo, self.v_hi + 1)) if self.V else []
 
     def run(self, first_label: int | None = None):
         """Explore the tree (or the branch under first_label).
@@ -219,28 +285,56 @@ class _Kernel:
         self.used = [False] * (self.N + 2)
         self.vl = [0] * self.V
         self.al = [0] * self.A
+        self.bmin, self.bmax = self.N, -self.N  # no base placed yet
         if self.N == 0:
             self._leaf()
-        elif first_label is None:
-            self._vertex_slot(0)
         else:
-            lo, hi = (self.v_lo, self.v_hi) if self.V else (self.a_lo, self.a_hi)
-            if lo <= first_label <= hi:
-                self.used[first_label] = True
-                self.vl[0] = first_label
-                self.nodes += 1
-                self._vertex_slot(1)
-                self.used[first_label] = False
+            self._vertex_slot(0, first_label)
         return self.count, self.wits, self.nodes, not self.stopped
 
     # -- vertex phase -------------------------------------------------
 
-    def _vertex_slot(self, s: int):
+    def _slot_labels(self, s: int):
+        """Labels vertex slot s may take, before the used and base checks.
+
+        Arc-magic: the bases of the arcs completed here stay within
+        a_hi - a_lo of the bases placed so far only for labels in one
+        interval.  Last slot of a magic target: the residue leaves one
+        label class modulo m / gcd(coef[s], m).
+        """
+        lo, hi = self.v_lo, self.v_hi
+        vl = self.vl
+        if self.bmin <= self.bmax:
+            blo, bhi = self.bmax - self.spread, self.bmin + self.spread
+            for other, sign in self.completes[s]:
+                o = vl[other]
+                # sign * (lab - o) in blo..bhi
+                a, b = (blo + o, bhi + o) if sign > 0 else (o - bhi, o - blo)
+                if a > lo:
+                    lo = a
+                if b < hi:
+                    hi = b
+        if s == self.V - 1 and self.residue is not None:
+            coef, k, g, step, inv = self.residue
+            r = k - sum(map(mul, coef, vl))  # coef stops before slot s
+            if r % g:
+                return ()
+            first = r // g * inv % step
+            return range(lo + (first - lo) % step, hi + 1, step)
+        return range(lo, hi + 1)
+
+    def _vertex_slot(self, s: int, only: int | None = None):
         if s == self.V:
             self._boundary()
             return
+        labels = self._slot_labels(s)
+        if only is not None:
+            labels = (only,) if only in labels else ()
+        if self.completes[s]:
+            self._vertex_slot_bases(s, labels)
+            return
         vl, used = self.vl, self.used
-        for lab in range(self.v_lo, self.v_hi + 1):
+        for lab in labels:
             if used[lab]:
                 continue
             used[lab] = True
@@ -251,6 +345,43 @@ class _Kernel:
             if self.stopped:
                 return
 
+    def _vertex_slot_bases(self, s: int, labels):
+        """Arc-magic slot that completes arcs: their bases must be new and
+        keep the spread of all bases within a_hi - a_lo."""
+        vl, used, base_used, n = self.vl, self.used, self.base_used, self.N
+        completes, spread = self.completes[s], self.spread
+        bmin, bmax = self.bmin, self.bmax
+        for lab in labels:
+            if used[lab]:
+                continue
+            new = []
+            lo, hi = bmin, bmax
+            for other, sign in completes:
+                b = sign * (lab - vl[other])
+                if base_used[b + n] or b in new:
+                    break
+                new.append(b)
+                if b < lo:
+                    lo = b
+                if b > hi:
+                    hi = b
+            else:
+                if hi - lo > spread:
+                    continue
+                for b in new:
+                    base_used[b + n] = True
+                self.bmin, self.bmax = lo, hi
+                used[lab] = True
+                vl[s] = lab
+                self.nodes += 1
+                self._vertex_slot(s + 1)
+                used[lab] = False
+                for b in new:
+                    base_used[b + n] = False
+                if self.stopped:
+                    break
+        self.bmin, self.bmax = bmin, bmax
+
     def _boundary(self):
         """All vertex labels placed; set up the arc phase."""
         if not self.pruned:
@@ -259,13 +390,7 @@ class _Kernel:
         t = self.target
         if t.side == "arc":
             if t.kind == "magic":
-                self.mu = None
-                if self.eulerian and self.A:
-                    arc_sum = self.total - sum(self.vl)
-                    if arc_sum % self.A:
-                        return
-                    self.mu = arc_sum // self.A
-                self._arc_slot_arc_magic(0)
+                self._arcs_arc_magic()
             else:
                 self.seen = set()
                 self._arc_slot_arc_distinct(0)
@@ -275,10 +400,7 @@ class _Kernel:
         self.rem_in = [len(self.in_arcs[v]) for v in range(self.V)]
         self.rem_out = [len(self.out_arcs[v]) for v in range(self.V)]
         if t.kind == "magic":
-            vertex_sum = sum(self.vl)
-            if self.V and vertex_sum % self.V:
-                return
-            self.mu = vertex_sum // self.V if self.V else None
+            self.mu = sum(self.vl) // self.V  # exact: the last slot kept the residue
             for v in range(self.V):
                 if self.rem_in[v] == 0 == self.rem_out[v] and self.pw[v] != self.mu:
                     return
@@ -325,33 +447,25 @@ class _Kernel:
 
     # -- arc phase, arc-side targets ------------------------------------
 
-    def _arc_slot_arc_magic(self, k: int):
-        if k == self.A:
-            self._leaf()
-            return
-        base = self.vl[self.heads[k]] - self.vl[self.tails[k]]
-        al, used = self.al, self.used
-        if self.mu is not None:
-            lab = self.mu - base  # the only label giving this arc weight mu
-            if self.a_lo <= lab <= self.a_hi and not used[lab]:
+    def _arcs_arc_magic(self):
+        """Place the arc labels mu - base, all forced, in arc order."""
+        al, used, vl = self.al, self.used, self.vl
+        placed = 0
+        if self.A:
+            arc_sum = self.total - sum(map(mul, self.coef, vl))
+            mu = arc_sum // self.A  # exact: the last vertex slot kept the residue
+            for k in range(self.A):
+                lab = mu - vl[self.heads[k]] + vl[self.tails[k]]
+                if not self.a_lo <= lab <= self.a_hi or used[lab]:
+                    break
                 used[lab] = True
                 al[k] = lab
-                self.nodes += 1
-                self._arc_slot_arc_magic(k + 1)
-                used[lab] = False
-            return
-        for lab in range(self.a_lo, self.a_hi + 1):
-            if used[lab]:
-                continue
-            used[lab] = True
-            al[k] = lab
-            self.nodes += 1
-            self.mu = lab + base
-            self._arc_slot_arc_magic(k + 1)
-            self.mu = None
-            used[lab] = False
-            if self.stopped:
-                return
+                placed += 1
+        self.nodes += placed
+        if placed == self.A:
+            self._leaf()
+        for k in range(placed):
+            used[al[k]] = False
 
     def _arc_slot_arc_distinct(self, k: int):
         if k == self.A:
@@ -518,6 +632,8 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     witness lists are identical to the single-worker run.  `pruned=False`
     selects the naive reference enumerator.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n = query.graph.label_count
     if n > cap:
         raise SearchCapError(
@@ -525,7 +641,7 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
             f"raise the cap to force the search")
     started = time.perf_counter()
     kernel = _Kernel(query, pruned)
-    if workers <= 1 or n == 0:
+    if workers == 1 or n == 0:
         results = [kernel.run()]
     else:
         payloads = [(query, pruned, lab) for lab in kernel.first_labels()]

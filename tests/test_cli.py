@@ -256,3 +256,42 @@ def test_search_workers_flag(capsys):
     p2 = json.loads(out2[out2.index("{"):])
     p1.pop("elapsed"), p2.pop("elapsed")
     assert p1 == p2
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--class", "sa-al", "--d", "0"], "at least 1"),
+    (["--class", "sv-al", "--a", "3", "--d", "-2"], "at least 1"),
+    (["--class", "saml", "--a", "5", "--d", "0"], "arithmetic targets only"),
+    (["--class", "svml", "--a", "5"], "arithmetic targets only"),
+    (["--class", "saal", "--d", "1"], "arithmetic targets only"),
+    (["--class", "saal", "--workers", "0"], "workers"),
+    (["--class", "saal", "--workers", "-3"], "workers"),
+])
+def test_search_rejects_bad_target_and_worker_options(capsys, extra, message):
+    code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3", *extra)
+    assert code == 2
+    assert stdout == ""
+    assert message in err
+
+
+def test_closed_stdout_ends_quietly_with_exit_141():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # the witness list runs to several hundred kB, far beyond a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from sublabel.cli import entry; entry()",
+         "search", "--family", "cycle", "--n", "4", "--class", "saal",
+         "--mode", "collect-up-to", "--limit", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()  # what `| head -2` does once it has its lines
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head[0].startswith(b"search: cycle")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
