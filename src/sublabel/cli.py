@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .constructions import CONSTRUCTION_KINDS, construct
+from .constructions import CONSTRUCTION_KINDS, KIND_ORIENTATION, construct
 from .digraph import ParameterError, build_family
 from .document import DocumentError, LabelingDocument, from_json, to_dot
 from .labeling import BijectionError, classify, weight_profile
@@ -20,16 +20,6 @@ from .search import (DEFAULT_CAP, ENV_CAP_VAR, SearchCapError, SearchQuery,
                      Target, search)
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
-
-# which orientation each (family, kind) construction is defined on
-_KIND_ORIENTATION = {
-    ("path", "saml"): "alternating",
-    ("path", "sa-al"): "forward",
-    ("path", "sv-al"): "forward",
-    ("star", "saml"): "out",
-    ("star", "sa-al"): "in",
-    ("star", "sval"): "in",
-}
 
 _CLASS_TOKENS = {
     "saml": ("arc", "magic"),
@@ -75,7 +65,7 @@ def _cmd_construct(args) -> int:
         return _fail(f"unknown family {family!r}; expected one of {', '.join(CONSTRUCTION_KINDS)}")
     if kind not in kinds:
         return _fail(f"no {kind!r} labeling for {family}; valid kinds: {', '.join(kinds)}")
-    wanted = _KIND_ORIENTATION.get((family, kind))
+    wanted = KIND_ORIENTATION.get((family, kind))
     if args.orientation is not None and args.orientation != (wanted or args.orientation):
         return _fail(f"the {kind} labeling of a {family} uses the {wanted} orientation")
     try:

@@ -44,6 +44,17 @@ CONSTRUCTION_KINDS: dict[str, tuple[str, ...]] = {
     "butterfly": ("sa-al", "sval"),
 }
 
+# the orientation each path and star construction is defined on; the other
+# families have a single orientation
+KIND_ORIENTATION: dict[tuple[str, str], str] = {
+    ("path", "saml"): "alternating",
+    ("path", "sa-al"): "forward",
+    ("path", "sv-al"): "forward",
+    ("star", "saml"): "out",
+    ("star", "sa-al"): "in",
+    ("star", "sval"): "in",
+}
+
 
 def _check_kind(family: str, kind: str):
     kinds = CONSTRUCTION_KINDS[family]
@@ -54,16 +65,14 @@ def _check_kind(family: str, kind: str):
 
 def construct_path(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
     _check_kind("path", kind)
+    g = build_family("path", n, orientation=KIND_ORIENTATION["path", kind])
     if kind == "saml":
-        g = build_family("path", n, orientation="alternating")
         vl = [(i + 1) // 2 if i % 2 == 1 else n + 1 - i // 2 for i in range(1, n + 1)]
         al = [2 * n - i for i in range(1, n)]
     elif kind == "sa-al":
-        g = build_family("path", n, orientation="forward")
         vl = list(range(1, n + 1))
         al = [2 * n - i for i in range(1, n)]
     else:  # sv-al
-        g = build_family("path", n, orientation="forward")
         vl = [2 * n - i for i in range(1, n + 1)]
         al = list(range(1, n))
     l = TotalLabeling(tuple(vl), tuple(al))
@@ -84,16 +93,14 @@ def construct_cycle(n: int) -> tuple[Digraph, TotalLabeling]:
 
 def construct_star(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
     _check_kind("star", kind)
+    g = build_family("star", n, orientation=KIND_ORIENTATION["star", kind])
     if kind == "saml":
-        g = build_family("star", n, orientation="out")
         vl = [1] + [i + 1 for i in range(1, n + 1)]
         al = [2 * (n + 1) - i for i in range(1, n + 1)]
     elif kind == "sa-al":
-        g = build_family("star", n, orientation="in")
         vl = [2 * n + 1] + list(range(1, n + 1))
         al = [2 * n + 1 - i for i in range(1, n + 1)]
     else:  # sval
-        g = build_family("star", n, orientation="in")
         vl = [1] + [n + 1 + i for i in range(1, n + 1)]
         al = [n + 2 - i for i in range(1, n + 1)]
     l = TotalLabeling(tuple(vl), tuple(al))

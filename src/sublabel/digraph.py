@@ -46,6 +46,15 @@ class FamilyTag:
     vertex_names: tuple[str, ...] = ()
     arc_names: tuple[str, ...] = ()
 
+    def to_dict(self) -> dict:
+        """The JSON family block: name and n, then t and orientation when set."""
+        d: dict = {"name": self.name, "n": self.n}
+        if self.t is not None:
+            d["t"] = self.t
+        if self.orientation is not None:
+            d["orientation"] = self.orientation
+        return d
+
 
 @dataclass(frozen=True)
 class Digraph:

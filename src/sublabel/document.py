@@ -29,14 +29,8 @@ class LabelingDocument:
 
     def to_dict(self) -> dict:
         d: dict = {"format_version": FORMAT_VERSION}
-        tag = self.graph.family
-        if tag is not None:
-            family: dict = {"name": tag.name, "n": tag.n}
-            if tag.t is not None:
-                family["t"] = tag.t
-            if tag.orientation is not None:
-                family["orientation"] = tag.orientation
-            d["family"] = family
+        if self.graph.family is not None:
+            d["family"] = self.graph.family.to_dict()
         d["vertex_count"] = self.graph.vertex_count
         d["arcs"] = [list(a) for a in self.graph.arcs]
         if self.labeling is not None:
@@ -52,8 +46,10 @@ class LabelingDocument:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+# JSON integers are checked with `type(x) is int`: a bool is an int
+# subclass, so isinstance would let true and false through as 1 and 0
 def _expect_int_list(value, name: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise DocumentError(f"{name} must be a list of integers")
     return value
 
@@ -62,18 +58,18 @@ def from_dict(d: dict) -> LabelingDocument:
     if not isinstance(d, dict):
         raise DocumentError("document must be a JSON object")
     version = d.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
     if "vertex_count" not in d or "arcs" not in d:
         raise DocumentError("document needs vertex_count and arcs")
-    if not isinstance(d["vertex_count"], int):
+    if type(d["vertex_count"]) is not int:
         raise DocumentError("vertex_count must be an integer")
     arcs = d["arcs"]
     if not isinstance(arcs, list):
         raise DocumentError("arcs must be a list of [tail, head] pairs")
     parsed_arcs = []
     for a in arcs:
-        if not (isinstance(a, list) and len(a) == 2 and all(isinstance(x, int) for x in a)):
+        if not (isinstance(a, list) and len(a) == 2 and type(a[0]) is int and type(a[1]) is int):
             raise DocumentError(f"bad arc entry {a!r}; expected [tail, head]")
         parsed_arcs.append((a[0], a[1]))
 
@@ -82,8 +78,11 @@ def from_dict(d: dict) -> LabelingDocument:
     if fd is not None:
         if not isinstance(fd, dict) or "name" not in fd or "n" not in fd:
             raise DocumentError("family block needs at least name and n")
+        t = fd.get("t")
+        if type(fd["n"]) is not int or (t is not None and type(t) is not int):
+            raise DocumentError("family n and t must be integers")
         try:
-            rebuilt = build_family(fd["name"], fd["n"], t=fd.get("t"),
+            rebuilt = build_family(fd["name"], fd["n"], t=t,
                                    orientation=fd.get("orientation"))
         except ParameterError as exc:
             raise DocumentError(f"bad family block: {exc}") from exc

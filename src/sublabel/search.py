@@ -4,10 +4,11 @@ Labels 1..N are assigned to a fixed slot sequence: vertices in index
 order, then arcs in index order.  Witnesses are reported in lexicographic
 order over that slot sequence, which makes every result reproducible.
 
-Two enumerators share the skeleton:
+Two enumerators produce the same results:
 
-* the pruned kernel cuts branches with rules taken from the definitions.
-  Magic targets are settled while the vertex labels are placed:
+* the pruned kernel (`_Kernel`) places labels slot by slot and cuts
+  branches with rules taken from the definitions.  Magic targets are
+  settled while the vertex labels are placed:
 
   1. the magic constant mu follows from the label-sum identities.  On the
      vertex side V * mu is the sum of the vertex labels.  On the arc side
@@ -28,9 +29,15 @@ Two enumerators share the skeleton:
   determined weights, pinned arithmetic targets reject weights outside
   the progression, and vertex-magic targets force the label of the last
   open arc of a vertex and cut partial vertex weights that cannot reach mu
-  any more.  A node is counted only for a placement that passes its rules;
-* the reference enumerator visits every partial assignment and filters
-  complete labelings through the classifier.
+  any more.  Which vertex weights an arc settles, and the window each
+  other endpoint's weight must stay in, depend only on the arc order, so
+  they are tabled once per kernel.  The vertex phase and the arc-side
+  loops count a node only for a placement that passes their rules; the
+  vertex-side arc loops count every placement of an unused label and
+  check the weights after it;
+* the reference enumerator (`_reference`) is the oracle: it walks every
+  permutation of 1..N in slot order and filters the labelings through
+  the classifier.  It shares no code with the kernel.
 
 Pruning never changes the solution set, only the number of visited
 nodes; the test suite checks both enumerators against each other.
@@ -48,8 +55,8 @@ friendship(2) arc-arithmetic (N = 11) 4-6 minutes over separate runs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
 from operator import mul
 
@@ -148,13 +155,6 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         g = self.query.graph
-        family = None
-        if g.family is not None:
-            family = {"name": g.family.name, "n": g.family.n}
-            if g.family.t is not None:
-                family["t"] = g.family.t
-            if g.family.orientation is not None:
-                family["orientation"] = g.family.orientation
         t = self.query.target
         target = {"side": t.side, "kind": t.kind}
         if t.a is not None:
@@ -166,7 +166,7 @@ class SearchReport:
                 "graph": {
                     "vertex_count": g.vertex_count,
                     "arcs": [list(a) for a in g.arcs],
-                    "family": family,
+                    "family": g.family.to_dict() if g.family is not None else None,
                 },
                 "target": target,
                 "require_strong": self.query.require_strong,
@@ -186,40 +186,33 @@ class SearchReport:
 
 
 class _Kernel:
-    """One enumerator instance; run() explores (a branch of) the tree."""
+    """The pruned enumerator; run() explores (a branch of) the tree."""
 
     # slots keep attribute access in the inner loops fast however many
     # attributes the rules add
-    __slots__ = ("g", "query", "target", "pruned", "V", "A", "N", "tails", "heads",
-                 "in_arcs", "out_arcs", "total", "v_lo", "v_hi", "a_lo", "a_hi",
-                 "allowed", "completes", "residue", "base_used", "spread", "coef",
+    __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
+                 "v_lo", "v_hi", "a_lo", "a_hi", "allowed", "completes", "residue",
+                 "base_used", "spread", "coef", "closes", "windows", "isolated",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
-                 "bmin", "bmax", "seen", "pw", "rem_in", "rem_out", "mu")
+                 "bmin", "bmax", "seen", "pw", "mu")
 
-    def __init__(self, query: SearchQuery, pruned: bool):
+    def __init__(self, query: SearchQuery):
         g = query.graph
-        self.g = g
         self.query = query
         self.target = query.target
-        self.pruned = pruned
         self.V = g.vertex_count
         self.A = g.arc_count
         self.N = g.label_count
         self.tails = [t for t, _ in g.arcs]
         self.heads = [h for _, h in g.arcs]
-        self.in_arcs = [[] for _ in range(self.V)]
-        self.out_arcs = [[] for _ in range(self.V)]
-        for i, (t, h) in enumerate(g.arcs):
-            self.out_arcs[t].append(i)
-            self.in_arcs[h].append(i)
+        in_deg, out_deg = g.in_degrees(), g.out_degrees()
         self.total = self.N * (self.N + 1) // 2
-        # label domains; the reference enumerator checks the strong flags
-        # at the leaves instead, so it keeps full domains
+        # label domains, narrowed by the strong flags
         v_lo, v_hi, a_lo, a_hi = 1, self.N, 1, self.N
-        if pruned and query.require_strong:
+        if query.require_strong:
             v_hi = min(v_hi, self.V)
             a_lo = max(a_lo, self.V + 1)
-        if pruned and query.require_strong_star:
+        if query.require_strong_star:
             a_hi = min(a_hi, self.A)
             v_lo = max(v_lo, self.A + 1)
         self.v_lo, self.v_hi = v_lo, v_hi
@@ -228,7 +221,7 @@ class _Kernel:
         t = query.target
         side_count = self.A if t.side == "arc" else self.V
         self.allowed = None
-        if pruned and t.kind == "arithmetic" and t.a is not None and t.d is not None:
+        if t.kind == "arithmetic" and t.a is not None and t.d is not None:
             self.allowed = {t.a + j * t.d for j in range(side_count)}
         # vertex-phase rules for magic targets.  completes[s] lists, as
         # (other endpoint, sign), the arcs whose second endpoint is vertex
@@ -238,7 +231,7 @@ class _Kernel:
         self.residue = None
         self.base_used = None
         self.spread = self.a_hi - self.a_lo
-        if pruned and t.kind == "magic" and t.side == "arc" and self.A:
+        if t.kind == "magic" and t.side == "arc" and self.A:
             completes = [[] for _ in range(self.V)]
             for tail, head in g.arcs:
                 if tail < head:
@@ -248,11 +241,26 @@ class _Kernel:
             self.completes = [tuple(c) for c in completes]
             self.base_used = [False] * (2 * self.N + 1)  # base b at index b + N
             # A * mu = total - sum((1 - in(v) + out(v)) * vl[v])
-            self.coef = [1 - len(self.in_arcs[v]) + len(self.out_arcs[v])
-                         for v in range(self.V)]
+            self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
             self._set_residue(self.coef, self.total, self.A)
-        elif pruned and t.kind == "magic" and t.side == "vertex" and self.V:
+        elif t.kind == "magic" and t.side == "vertex" and self.V:
             self._set_residue([1] * self.V, 0, self.V)  # V * mu = sum(vl)
+        # vertex-side arc-phase tables, fixed by the arc order.  closes[k]
+        # lists the endpoints (tail first) whose last arc is k: their weight
+        # is final once arc k is placed.  windows[k] holds (v, lo, hi) for
+        # each other endpoint v: the arcs of v after k change its weight by
+        # lo..hi, as each adds 1..N (in-arc) or takes 1..N away (out-arc).
+        self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
+        self.closes, self.windows = [], []
+        rin, rout = in_deg[:], out_deg[:]
+        n = self.N
+        for tail, head in g.arcs:
+            rout[tail] -= 1
+            rin[head] -= 1
+            ends = (tail, head)
+            self.closes.append(tuple(v for v in ends if rin[v] == 0 == rout[v]))
+            self.windows.append(tuple((v, rin[v] - rout[v] * n, rin[v] * n - rout[v])
+                                      for v in ends if rin[v] or rout[v]))
 
     def _set_residue(self, coef: list[int], k: int, m: int):
         """Make the last vertex slot keep sum(coef[v] * vl[v]) == k (mod m).
@@ -384,9 +392,6 @@ class _Kernel:
 
     def _boundary(self):
         """All vertex labels placed; set up the arc phase."""
-        if not self.pruned:
-            self._arc_slot_plain(0)
-            return
         t = self.target
         if t.side == "arc":
             if t.kind == "magic":
@@ -396,23 +401,18 @@ class _Kernel:
                 self._arc_slot_arc_distinct(0)
             return
         # vertex-side targets track partial vertex weights through the arc phase
-        self.pw = list(self.vl)
-        self.rem_in = [len(self.in_arcs[v]) for v in range(self.V)]
-        self.rem_out = [len(self.out_arcs[v]) for v in range(self.V)]
+        vl = self.vl
+        self.pw = list(vl)
         if t.kind == "magic":
-            self.mu = sum(self.vl) // self.V  # exact: the last slot kept the residue
-            for v in range(self.V):
-                if self.rem_in[v] == 0 == self.rem_out[v] and self.pw[v] != self.mu:
-                    return
-            self._arc_slot_vertex_magic(0)
+            self.mu = sum(vl) // self.V  # exact: the last slot kept the residue
+            if all(vl[v] == self.mu for v in self.isolated):
+                self._arc_slot_vertex_magic(0)
         else:
             self.seen = set()
-            for v in range(self.V):
-                if self.rem_in[v] == 0 == self.rem_out[v]:
-                    w = self.pw[v]
-                    if not self._weight_ok(w):
-                        return
-                    self.seen.add(w)
+            for v in self.isolated:
+                if not self._weight_ok(vl[v]):
+                    return
+                self.seen.add(vl[v])
             self._arc_slot_vertex_distinct(0)
 
     def _weight_ok(self, w: int) -> bool:
@@ -426,24 +426,6 @@ class _Kernel:
             if t.a is not None and w < t.a:
                 return False
         return True
-
-    # -- arc phase, reference ------------------------------------------
-
-    def _arc_slot_plain(self, k: int):
-        if k == self.A:
-            self._leaf()
-            return
-        al, used = self.al, self.used
-        for lab in range(1, self.N + 1):
-            if used[lab]:
-                continue
-            used[lab] = True
-            al[k] = lab
-            self.nodes += 1
-            self._arc_slot_plain(k + 1)
-            used[lab] = False
-            if self.stopped:
-                return
 
     # -- arc phase, arc-side targets ------------------------------------
 
@@ -491,64 +473,37 @@ class _Kernel:
 
     # -- arc phase, vertex-side targets ----------------------------------
 
-    def _place_on_endpoints(self, k: int, lab: int):
-        ti, hi = self.tails[k], self.heads[k]
-        self.pw[ti] -= lab
-        self.pw[hi] += lab
-        self.rem_out[ti] -= 1
-        self.rem_in[hi] -= 1
-
-    def _unplace_on_endpoints(self, k: int, lab: int):
-        ti, hi = self.tails[k], self.heads[k]
-        self.pw[ti] += lab
-        self.pw[hi] -= lab
-        self.rem_out[ti] += 1
-        self.rem_in[hi] += 1
-
-    def _vertex_feasible(self, v: int) -> bool:
-        """Can the pending arcs of v still bring its weight to mu?
-
-        Remaining arc labels are at least 1 and at most N, so the
-        reachable weights form the interval used here (a superset of the
-        truly reachable ones; only used to cut, never to accept).
-        """
-        ri, ro = self.rem_in[v], self.rem_out[v]
-        if ri == 0 == ro:
-            return self.pw[v] == self.mu
-        lo = self.pw[v] + ri - ro * self.N
-        hi = self.pw[v] + ri * self.N - ro
-        return lo <= self.mu <= hi
-
     def _arc_slot_vertex_magic(self, k: int):
         if k == self.A:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
-        al, used = self.al, self.used
+        al, used, pw, mu = self.al, self.used, self.pw, self.mu
         # an arc that is the last open arc of an endpoint has a forced label
-        forced = None
-        if self.rem_in[ti] + self.rem_out[ti] == 1:
-            forced = self.pw[ti] - self.mu
-        if self.rem_in[hi_v] + self.rem_out[hi_v] == 1:
-            other = self.mu - self.pw[hi_v]
-            if forced is not None and forced != other:
+        closes = self.closes[k]
+        if closes:
+            forced = pw[ti] - mu if ti in closes else mu - pw[hi_v]
+            if hi_v in closes and forced != mu - pw[hi_v]:
                 return
-            forced = other
-        if forced is not None:
-            candidates = (forced,) if self.a_lo <= forced <= self.a_hi and not used[forced] else ()
+            labels = (forced,) if self.a_lo <= forced <= self.a_hi else ()
         else:
-            candidates = None
-        labels = candidates if candidates is not None else range(self.a_lo, self.a_hi + 1)
+            labels = range(self.a_lo, self.a_hi + 1)
+        windows = self.windows[k]
         for lab in labels:
             if used[lab]:
                 continue
             used[lab] = True
             al[k] = lab
             self.nodes += 1
-            self._place_on_endpoints(k, lab)
-            if self._vertex_feasible(ti) and self._vertex_feasible(hi_v):
+            pw[ti] -= lab
+            pw[hi_v] += lab
+            for v, lo, hi in windows:
+                if not lo <= mu - pw[v] <= hi:
+                    break
+            else:
                 self._arc_slot_vertex_magic(k + 1)
-            self._unplace_on_endpoints(k, lab)
+            pw[ti] += lab
+            pw[hi_v] -= lab
             used[lab] = False
             if self.stopped:
                 return
@@ -558,30 +513,29 @@ class _Kernel:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
-        al, used, seen = self.al, self.used, self.seen
+        al, used, pw, seen = self.al, self.used, self.pw, self.seen
+        closes = self.closes[k]
         for lab in range(self.a_lo, self.a_hi + 1):
             if used[lab]:
                 continue
             used[lab] = True
             al[k] = lab
             self.nodes += 1
-            self._place_on_endpoints(k, lab)
+            pw[ti] -= lab
+            pw[hi_v] += lab
             added = []
-            ok = True
-            for v in (ti, hi_v):
-                if self.rem_in[v] == 0 == self.rem_out[v]:
-                    w = self.pw[v]
-                    if self._weight_ok(w):
-                        seen.add(w)
-                        added.append(w)
-                    else:
-                        ok = False
-                        break
-            if ok:
+            for v in closes:
+                w = pw[v]
+                if not self._weight_ok(w):
+                    break
+                seen.add(w)
+                added.append(w)
+            else:
                 self._arc_slot_vertex_distinct(k + 1)
             for w in added:
                 seen.discard(w)
-            self._unplace_on_endpoints(k, lab)
+            pw[ti] += lab
+            pw[hi_v] -= lab
             used[lab] = False
             if self.stopped:
                 return
@@ -589,25 +543,14 @@ class _Kernel:
     # -- leaves ----------------------------------------------------------
 
     def _leaf(self):
-        if self.pruned:
-            if self.target.side == "vertex":
-                weights = self.pw if self.A else self.vl
-            else:
-                vl = self.vl
-                weights = [self.al[i] + vl[self.heads[i]] - vl[self.tails[i]]
-                           for i in range(self.A)]
-            if not self.target.matches(verdict_of(weights)):
-                return
+        if self.target.side == "vertex":
+            weights = self.pw if self.A else self.vl
         else:
-            labeling = TotalLabeling(tuple(self.vl), tuple(self.al))
-            cls = classify(self.g, labeling)
-            verdict = cls.arc_verdict if self.target.side == "arc" else cls.vertex_verdict
-            if not self.target.matches(verdict):
-                return
-            if self.query.require_strong and not cls.strong:
-                return
-            if self.query.require_strong_star and not cls.strong_star:
-                return
+            vl = self.vl
+            weights = [self.al[i] + vl[self.heads[i]] - vl[self.tails[i]]
+                       for i in range(self.A)]
+        if not self.target.matches(verdict_of(weights)):
+            return
         self.count += 1
         if self.cap:
             self.wits.append(TotalLabeling(tuple(self.vl), tuple(self.al)))
@@ -616,9 +559,37 @@ class _Kernel:
 
 
 def _branch_task(payload):
-    query, pruned, label = payload
-    kernel = _Kernel(query, pruned)
-    return kernel.run(first_label=label)
+    query, label = payload
+    return _Kernel(query).run(first_label=label)
+
+
+def _reference(query: SearchQuery):
+    """The oracle: every permutation of 1..N in slot order (vertices, then
+    arcs), filtered through classify.  Returns the tuple of _Kernel.run.
+
+    nodes counts the distinct prefixes walked so far, the nodes a plain
+    depth-first enumerator visits: each permutation adds the slots from
+    the first one where it differs from the previous permutation.
+    """
+    g, t = query.graph, query.target
+    n, v = g.label_count, g.vertex_count
+    count, wits, nodes, prev = 0, [], 0, None
+    for perm in permutations(range(1, n + 1)):
+        first = 0 if prev is None else next(i for i in range(n) if perm[i] != prev[i])
+        nodes += n - first
+        prev = perm
+        labeling = TotalLabeling(perm[:v], perm[v:])
+        cls = classify(g, labeling)
+        if not t.matches(cls.arc_verdict if t.side == "arc" else cls.vertex_verdict) \
+                or (query.require_strong and not cls.strong) \
+                or (query.require_strong_star and not cls.strong_star):
+            continue
+        count += 1
+        if query.witness_cap:
+            wits.append(labeling)
+            if count >= query.witness_cap:
+                return count, wits, nodes, False
+    return count, wits, nodes, True
 
 
 def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
@@ -630,7 +601,8 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     cap to override.  `workers` > 1 splits the top-level branches over a
     process pool; results are aggregated in canonical order, so counts and
     witness lists are identical to the single-worker run.  `pruned=False`
-    selects the naive reference enumerator.
+    runs the reference enumerator instead, a permutation filter over
+    `classify`; it always runs in this process, whatever `workers` is.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -640,11 +612,15 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
             f"graph has {n} labels, over the search cap of {cap}; "
             f"raise the cap to force the search")
     started = time.perf_counter()
-    kernel = _Kernel(query, pruned)
-    if workers == 1 or n == 0:
-        results = [kernel.run()]
+    if not pruned:
+        results = [_reference(query)]
+    elif workers == 1 or n == 0:
+        results = [_Kernel(query).run()]
     else:
-        payloads = [(query, pruned, lab) for lab in kernel.first_labels()]
+        # imported here: the costliest import of the package, and only the pool uses it
+        from concurrent.futures import ProcessPoolExecutor
+
+        payloads = [(query, lab) for lab in _Kernel(query).first_labels()]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_task, payloads))
     total = sum(r[0] for r in results)

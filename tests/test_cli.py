@@ -205,6 +205,15 @@ def test_export_malformed_exits_2(capsys, tmp_path):
     assert code == 2 and "JSON" in err
 
 
+@pytest.mark.parametrize("n", ["2.5", '"3"', "true"])
+def test_export_non_integer_family_n_exits_2(capsys, tmp_path, n):
+    path = tmp_path / "star.json"
+    path.write_text('{"format_version": 1, "family": {"name": "star", "n": %s}, '
+                    '"vertex_count": 2, "arcs": [[0, 1]]}' % n)
+    code, out, err = run(capsys, "export", str(path), "--format", "json")
+    assert code == 2 and "integers" in err and out == ""
+
+
 def all_construction_instances():
     for n in range(2, 51):
         for kind in ("saml", "sa-al", "sv-al"):

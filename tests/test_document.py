@@ -4,7 +4,7 @@ import pytest
 
 from sublabel import (Digraph, DocumentError, LabelingDocument, TotalLabeling,
                       build_family, construct_cycle, construct_tadpole,
-                      from_json, to_dot)
+                      from_dict, from_json, to_dot)
 
 
 def docs():
@@ -79,6 +79,40 @@ def test_negative_weights_render():
 def test_malformed_documents_rejected(text, hint):
     with pytest.raises(DocumentError, match=hint):
         from_json(text)
+
+
+VALID = {"format_version": 1, "family": {"name": "tadpole", "n": 3, "t": 1},
+         "vertex_count": 4, "arcs": [[0, 1], [1, 2], [2, 0], [3, 0]],
+         "vertex_labels": [1, 2, 3, 4], "arc_labels": [5, 6, 7, 8]}
+STAR1 = {"name": "star", "n": 1}  # one arc 0 -> 1, so n = true would rebuild it
+
+
+def test_valid_integer_document_is_accepted():
+    assert from_dict(VALID).graph.family.t == 1
+    assert from_dict({**VALID, "family": STAR1, "vertex_count": 2, "arcs": [[0, 1]],
+                      "vertex_labels": [1, 2], "arc_labels": [3]}).graph.family.n == 1
+
+
+# JSON true is a Python bool, an int subclass; none of these may pass as 1
+@pytest.mark.parametrize("changes", [
+    pytest.param({"format_version": True}, id="format_version-true"),
+    pytest.param({"format_version": 1.0}, id="format_version-float"),
+    pytest.param({"family": None, "vertex_count": True, "arcs": [],
+                  "vertex_labels": [1], "arc_labels": []}, id="vertex_count-true"),
+    pytest.param({"arcs": [[0, 1], [1, 2], [2, 0], [3, False]]}, id="arc-head-false"),
+    pytest.param({"arcs": [[0, 1], [1, 2], [2, 0], [3.0, 0]]}, id="arc-tail-float"),
+    pytest.param({"vertex_labels": [True, 2, 3, 4]}, id="vertex_labels-true"),
+    pytest.param({"arc_labels": [5, 6, 7, 8.0]}, id="arc_labels-float"),
+    pytest.param({"family": {**VALID["family"], "t": True}}, id="family-t-true"),
+    pytest.param({"family": {**VALID["family"], "t": "1"}}, id="family-t-string"),
+    pytest.param({"family": {**STAR1, "n": True}, "vertex_count": 2, "arcs": [[0, 1]],
+                  "vertex_labels": [1, 2], "arc_labels": [3]}, id="family-n-true"),
+    pytest.param({"family": {**VALID["family"], "n": 2.5}}, id="family-n-float"),
+    pytest.param({"family": {**VALID["family"], "n": "3"}}, id="family-n-string"),
+])
+def test_non_integers_are_rejected(changes):
+    with pytest.raises(DocumentError, match="integer|format_version|arc entry"):
+        from_dict({**VALID, **changes})
 
 
 def test_family_block_restores_names():

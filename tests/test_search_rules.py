@@ -1,8 +1,16 @@
-"""Vertex-phase rules for magic targets: the magic constant from the
-label-sum identity, distinct arc-magic bases within the label spread, and
-the last-slot residue cut.  The pruned kernel must agree with the
-reference enumerator on random digraphs, and the node counts of a few
-instances are pinned so that any change to the rules shows."""
+"""Pruning rules of the search kernel against the reference enumerator.
+
+The magic rules are the magic constant from the label-sum identity,
+distinct arc-magic bases within the label spread, and the last-slot
+residue cut; distinctness and pinned arithmetic targets cut on fully
+determined weights.  The pruned kernel must agree with the reference
+enumerator on random digraphs for every target kind, and the node counts
+of a few instances are pinned so that any change to the rules shows."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,23 +31,36 @@ def small_digraphs(draw):
     return Digraph(v, tuple(chosen))
 
 
+@st.composite
+def targets(draw):
+    """Every side and kind; arithmetic targets may pin a and/or d."""
+    side = draw(st.sampled_from(("arc", "vertex")))
+    kind = draw(st.sampled_from(("magic", "antimagic", "arithmetic")))
+    if kind != "arithmetic":
+        return Target(side, kind)
+    return Target(side, kind, a=draw(st.none() | st.integers(-2, 12)),
+                  d=draw(st.none() | st.integers(1, 3)))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=small_digraphs(),
-       side=st.sampled_from(("arc", "vertex")),
+       target=targets(),
        strong=st.booleans(),
        strong_star=st.booleans(),
        limit=st.sampled_from((1, 3, 10 ** 9)))
-@example(graph=Digraph(1, ()), side="vertex", strong=False, strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(1, ()), side="arc", strong=False, strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(3, ((0, 1), (0, 2))), side="arc", strong=False, strong_star=False,
-         limit=10 ** 9)
-@example(graph=Digraph(3, ((0, 1), (1, 0), (2, 0))), side="arc", strong=False,
+@example(graph=Digraph(1, ()), target=Target("vertex", "magic"), strong=False,
          strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), side="vertex", strong=False,
+@example(graph=Digraph(1, ()), target=Target("arc", "magic"), strong=False,
          strong_star=False, limit=10 ** 9)
-def test_magic_rules_match_reference(graph, side, strong, strong_star, limit):
-    q = SearchQuery(graph, Target(side, "magic"), require_strong=strong,
+@example(graph=Digraph(3, ((0, 1), (0, 2))), target=Target("arc", "magic"), strong=False,
+         strong_star=False, limit=10 ** 9)
+@example(graph=Digraph(3, ((0, 1), (1, 0), (2, 0))), target=Target("arc", "magic"),
+         strong=False, strong_star=False, limit=10 ** 9)
+@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), target=Target("vertex", "magic"),
+         strong=False, strong_star=False, limit=10 ** 9)
+def test_magic_rules_match_reference(graph, target, strong, strong_star, limit):
+    q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
     reference = search(q, pruned=False)
     for workers in (1, 2):
@@ -53,14 +74,28 @@ def test_magic_rules_match_reference(graph, side, strong, strong_star, limit):
             assert pruned.nodes_visited <= reference.nodes_visited
 
 
-@pytest.mark.parametrize("family,n,kw,side,nodes,solutions", [
-    ("tadpole", 3, {"t": 3}, "arc", 42176, 4),
-    ("star", 5, {"orientation": "out"}, "arc", 274711, 11520),
-    ("star", 3, {}, "vertex", 517, 0),
+@pytest.mark.parametrize("family,n,kw,side,kind,nodes,solutions", [
+    ("tadpole", 3, {"t": 3}, "arc", "magic", 42176, 4),
+    ("star", 5, {"orientation": "out"}, "arc", "magic", 274711, 11520),
+    ("star", 3, {}, "vertex", "magic", 517, 0),
+    ("cycle", 4, {}, "vertex", "arithmetic", 107944, 816),
+    ("cycle", 4, {}, "arc", "antimagic", 94428, 30912),
 ])
-def test_pinned_node_counts(family, n, kw, side, nodes, solutions):
-    report = search(SearchQuery(build_family(family, n, **kw), Target(side, "magic")))
+def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
+    report = search(SearchQuery(build_family(family, n, **kw), Target(side, kind)))
     assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
+
+
+@pytest.mark.parametrize("family,n,nodes", [
+    ("path", 2, 15),
+    ("cycle", 4, 109600),
+])
+def test_reference_count_all_visits_every_prefix(family, n, nodes):
+    # N labels have N!/(N-k)! distinct prefixes of length k, for k = 1..N
+    report = search(SearchQuery(build_family(family, n), Target("arc", "antimagic")),
+                    pruned=False)
+    assert report.nodes_visited == nodes
+    assert report.exhaustive
 
 
 def test_count_all_nodes_are_the_same_at_two_workers():
@@ -86,3 +121,12 @@ def test_search_rejects_fewer_than_one_worker():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             search(q, workers=workers)
+
+
+def test_import_leaves_the_process_pool_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, sublabel; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
