@@ -25,16 +25,35 @@ Two enumerators produce the same results:
   3. last-slot residue cut: the last vertex slot offers only the labels
      that make mu an integer.
 
-  Distinctness targets reject duplicate weights among the fully
-  determined weights, pinned arithmetic targets reject weights outside
-  the progression, and vertex-magic targets force the label of the last
-  open arc of a vertex and cut partial vertex weights that cannot reach mu
-  any more.  Which vertex weights an arc settles, and the window each
-  other endpoint's weight must stay in, depend only on the arc order, so
-  they are tabled once per kernel.  The vertex phase and the arc-side
-  loops count a node only for a placement that passes their rules; the
-  vertex-side arc loops count every placement of an unused label and
-  check the weights after it;
+  Distinctness targets are settled in the arc phase.  A side with fewer
+  than two weights is magic, so it has no solution.  Each weight is
+  checked against the weights fixed before it as soon as it is fully
+  determined, and duplicates are cut:
+
+  4. progression candidates: after the vertex phase the sum S of the
+     target side's k weights is fixed, by the identity of rule 1 on the arc
+     side and as sum(vl) on the vertex side.  An arithmetic target can
+     only be a progression a, a + d, .., a + (k-1)d with
+     k * a + d * k(k-1)/2 = S, inside the range the weights can reach and
+     with the given a and d.  Each fixed weight drops the candidates it is
+     not a term of, and a branch with none left is cut;
+  5. candidate span: all candidates are centred on S / k, so the one with
+     the largest d spans the others.  An arc-side slot offers only the
+     labels whose weight lies in that span; a vertex-side slot only those
+     that leave both endpoints able to reach it, with their open arcs.
+
+  Every leaf therefore holds k distinct weights, all terms of one k-term
+  progression for arithmetic targets, and is counted without its weights
+  being rebuilt or classified.
+
+  Vertex-magic targets force the label of the last open arc of a vertex
+  and cut partial vertex weights that cannot reach mu any more.  Which
+  vertex weights an arc settles, and the window each other endpoint's
+  weight must stay in, depend only on the arc order, so they are tabled
+  once per kernel.  The vertex phase and the arc-side loops count a node
+  only for a placement that passes their rules; the vertex-side arc loops
+  count every placement of an unused label in the slot's range and check
+  the weights after it;
 * the reference enumerator (`_reference`) is the oracle: it walks every
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
@@ -47,9 +66,13 @@ The search space is N!, so the entry point refuses graphs beyond a cap
 target far more than on N.  Measured single-threaded on a 2-core x86-64
 host with Python 3.11: the count-all arc-magic search of the 7-cycle
 (N = 14) visits 545,164 nodes in about 2 s, cycle(6) vertex-magic
-(N = 12) about 1.1M nodes in 3 s, while unpinned arithmetic targets stay
-expensive: cycle(5) vertex-arithmetic (N = 10) took 36-47 s and
-friendship(2) arc-arithmetic (N = 11) 4-6 minutes over separate runs.
+(N = 12) about 1.1M nodes in 3 s.  Unpinned arithmetic targets cost about
+as much once rules 4 and 5 apply: cycle(5) vertex-arithmetic (N = 10)
+visits 625,146 nodes and friendship(2) arc-arithmetic (N = 11) 438,695,
+about 2 s each, against 9.3M nodes in about 35 s and 69.4M in about 4
+minutes without them.  Antimagic targets count every solution as a leaf:
+star(4, in) vertex-antimagic (N = 9, 203,616 solutions) visits 863,481
+nodes in about 1 s.
 """
 
 from __future__ import annotations
@@ -61,7 +84,7 @@ from math import gcd
 from operator import mul
 
 from .digraph import Digraph
-from .labeling import TotalLabeling, Verdict, classify, verdict_of
+from .labeling import TotalLabeling, Verdict, classify
 
 DEFAULT_CAP = 12
 ENV_CAP_VAR = "SUBLABEL_SEARCH_CAP"
@@ -185,14 +208,20 @@ class SearchReport:
         }
 
 
+def _fitting(cands: list, w: int) -> list:
+    """The candidate progressions (a, d, top) that have w as a term."""
+    return [c for c in cands if c[0] <= w <= c[2] and (w - c[0]) % c[1] == 0]
+
+
 class _Kernel:
     """The pruned enumerator; run() explores (a branch of) the tree."""
 
     # slots keep attribute access in the inner loops fast however many
     # attributes the rules add
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
-                 "v_lo", "v_hi", "a_lo", "a_hi", "allowed", "completes", "residue",
-                 "base_used", "spread", "coef", "closes", "windows", "isolated",
+                 "v_lo", "v_hi", "a_lo", "a_hi", "completes", "residue",
+                 "base_used", "spread", "coef", "closes", "windows", "reach",
+                 "v_reach", "isolated",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "bmin", "bmax", "seen", "pw", "mu")
 
@@ -217,12 +246,9 @@ class _Kernel:
             v_lo = max(v_lo, self.A + 1)
         self.v_lo, self.v_hi = v_lo, v_hi
         self.a_lo, self.a_hi = a_lo, a_hi
-        # exact allowed weight set when an arithmetic target is fully pinned
         t = query.target
-        side_count = self.A if t.side == "arc" else self.V
-        self.allowed = None
-        if t.kind == "arithmetic" and t.a is not None and t.d is not None:
-            self.allowed = {t.a + j * t.d for j in range(side_count)}
+        # the arc weights sum to total - sum(coef[v] * vl[v])
+        self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
         # vertex-phase rules for magic targets.  completes[s] lists, as
         # (other endpoint, sign), the arcs whose second endpoint is vertex
         # s; the base vl[head] - vl[tail] of such an arc is
@@ -240,8 +266,6 @@ class _Kernel:
                     completes[tail].append((head, -1))
             self.completes = [tuple(c) for c in completes]
             self.base_used = [False] * (2 * self.N + 1)  # base b at index b + N
-            # A * mu = total - sum((1 - in(v) + out(v)) * vl[v])
-            self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
             self._set_residue(self.coef, self.total, self.A)
         elif t.kind == "magic" and t.side == "vertex" and self.V:
             self._set_residue([1] * self.V, 0, self.V)  # V * mu = sum(vl)
@@ -250,17 +274,24 @@ class _Kernel:
         # is final once arc k is placed.  windows[k] holds (v, lo, hi) for
         # each other endpoint v: the arcs of v after k change its weight by
         # lo..hi, as each adds 1..N (in-arc) or takes 1..N away (out-arc).
-        self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
-        self.closes, self.windows = [], []
-        rin, rout = in_deg[:], out_deg[:]
+        # reach[k] is lo, hi of the tail, then of the head, 0, 0 once
+        # closed; v_reach[v] is the window of v over the whole arc phase.
         n = self.N
+        rin, rout = in_deg[:], out_deg[:]
+
+        def window(v):
+            return rin[v] - rout[v] * n, rin[v] * n - rout[v]
+
+        self.v_reach = [window(v) for v in range(self.V)]
+        self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
+        self.closes, self.windows, self.reach = [], [], []
         for tail, head in g.arcs:
             rout[tail] -= 1
             rin[head] -= 1
             ends = (tail, head)
             self.closes.append(tuple(v for v in ends if rin[v] == 0 == rout[v]))
-            self.windows.append(tuple((v, rin[v] - rout[v] * n, rin[v] * n - rout[v])
-                                      for v in ends if rin[v] or rout[v]))
+            self.windows.append(tuple((v, *window(v)) for v in ends if rin[v] or rout[v]))
+            self.reach.append(window(tail) + window(head))
 
     def _set_residue(self, coef: list[int], k: int, m: int):
         """Make the last vertex slot keep sum(coef[v] * vl[v]) == k (mod m).
@@ -294,10 +325,10 @@ class _Kernel:
         self.vl = [0] * self.V
         self.al = [0] * self.A
         self.bmin, self.bmax = self.N, -self.N  # no base placed yet
-        if self.N == 0:
-            self._leaf()
-        else:
+        if self.V:
             self._vertex_slot(0, first_label)
+        elif self.target.kind == "magic":
+            self._leaf()  # the empty labeling: no weights, vacuously magic
         return self.count, self.wits, self.nodes, not self.stopped
 
     # -- vertex phase -------------------------------------------------
@@ -391,41 +422,77 @@ class _Kernel:
         self.bmin, self.bmax = bmin, bmax
 
     def _boundary(self):
-        """All vertex labels placed; set up the arc phase."""
+        """All vertex labels placed; set up the arc phase.
+
+        The distinctness loops get the candidate progressions of an
+        arithmetic target (rule 4), or None for an antimagic one.
+        """
         t = self.target
+        vl = self.vl
+        k = self.A if t.side == "arc" else self.V
+        if k < 2 and t.kind != "magic":
+            return  # no weight or a single one classifies as magic
         if t.side == "arc":
             if t.kind == "magic":
                 self._arcs_arc_magic()
-            else:
-                self.seen = set()
-                self._arc_slot_arc_distinct(0)
+                return
+            cands = None
+            if t.kind == "arithmetic":
+                bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
+                cands = self._progressions(k, self.total - sum(map(mul, self.coef, vl)),
+                                           self.a_lo + min(bases), self.a_hi + max(bases))
+                if not cands:
+                    return
+            self.seen = set()
+            self._arc_slot_arc_distinct(0, cands)
             return
         # vertex-side targets track partial vertex weights through the arc phase
-        vl = self.vl
         self.pw = list(vl)
         if t.kind == "magic":
             self.mu = sum(vl) // self.V  # exact: the last slot kept the residue
             if all(vl[v] == self.mu for v in self.isolated):
                 self._arc_slot_vertex_magic(0)
-        else:
-            self.seen = set()
-            for v in self.isolated:
-                if not self._weight_ok(vl[v]):
-                    return
-                self.seen.add(vl[v])
-            self._arc_slot_vertex_distinct(0)
-
-    def _weight_ok(self, w: int) -> bool:
-        """Is this fully determined weight still compatible with the target?"""
-        if w in self.seen:
-            return False
-        t = self.target
+            return
+        cands = None
         if t.kind == "arithmetic":
-            if self.allowed is not None:
-                return w in self.allowed
-            if t.a is not None and w < t.a:
-                return False
-        return True
+            # the arcs add to one vertex weight what they take from another
+            cands = self._progressions(k, sum(vl),
+                                       min(x + lo for x, (lo, _) in zip(vl, self.v_reach)),
+                                       max(x + hi for x, (_, hi) in zip(vl, self.v_reach)))
+            if not cands:
+                return
+        self.seen = set()
+        for v in self.isolated:
+            w = vl[v]
+            if cands is not None:
+                cands = _fitting(cands, w)
+            if w in self.seen or cands == []:
+                return
+            self.seen.add(w)
+        self._arc_slot_vertex_distinct(0, cands)
+
+    def _progressions(self, k: int, total: int, lo: int, hi: int) -> list:
+        """The progressions (a, d, top) of k terms a, a + d, .., top = a + (k-1)d
+        with sum total inside lo..hi, with the pinned a and d, by rising d.
+
+        k * a + d * k(k-1)/2 = total fixes a for each d.  All of them are
+        centred on total / k, so a larger d spans a wider range: the last
+        candidate spans all the others.
+        """
+        t = self.target
+        half = k * (k - 1) // 2
+        cands = []
+        d = t.d or 1
+        while True:
+            a, r = divmod(total - d * half, k)  # floor: a < lo iff the exact a is
+            top = a + (k - 1) * d
+            if a < lo or top > hi:
+                return cands
+            if not r and (t.a is None or a == t.a):
+                cands.append((a, d, top))
+            if t.d is not None:
+                return cands
+            d += 1
 
     # -- arc phase, arc-side targets ------------------------------------
 
@@ -449,23 +516,33 @@ class _Kernel:
         for k in range(placed):
             used[al[k]] = False
 
-    def _arc_slot_arc_distinct(self, k: int):
+    def _arc_slot_arc_distinct(self, k: int, cands):
         if k == self.A:
             self._leaf()
             return
         base = self.vl[self.heads[k]] - self.vl[self.tails[k]]
         al, used, seen = self.al, self.used, self.seen
-        for lab in range(self.a_lo, self.a_hi + 1):
+        lo, hi = self.a_lo, self.a_hi
+        if cands is not None:
+            # the weight lab + base must lie in the widest candidate
+            a, _, top = cands[-1]
+            lo, hi = max(lo, a - base), min(hi, top - base)
+        keep = cands
+        for lab in range(lo, hi + 1):
             if used[lab]:
                 continue
             w = lab + base
-            if not self._weight_ok(w):
+            if w in seen:
                 continue
+            if cands is not None:
+                keep = _fitting(cands, w)
+                if not keep:
+                    continue
             used[lab] = True
             al[k] = lab
             self.nodes += 1
             seen.add(w)
-            self._arc_slot_arc_distinct(k + 1)
+            self._arc_slot_arc_distinct(k + 1, keep)
             seen.discard(w)
             used[lab] = False
             if self.stopped:
@@ -508,14 +585,21 @@ class _Kernel:
             if self.stopped:
                 return
 
-    def _arc_slot_vertex_distinct(self, k: int):
+    def _arc_slot_vertex_distinct(self, k: int, cands):
         if k == self.A:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
         al, used, pw, seen = self.al, self.used, self.pw, self.seen
         closes = self.closes[k]
-        for lab in range(self.a_lo, self.a_hi + 1):
+        lo, hi = self.a_lo, self.a_hi
+        if cands is not None:
+            # the final weights of both endpoints must reach the widest candidate
+            slo, _, shi = cands[-1]
+            t_lo, t_hi, h_lo, h_hi = self.reach[k]
+            lo = max(lo, pw[ti] + t_lo - shi, slo - h_hi - pw[hi_v])
+            hi = min(hi, pw[ti] + t_hi - slo, shi - h_lo - pw[hi_v])
+        for lab in range(lo, hi + 1):
             if used[lab]:
                 continue
             used[lab] = True
@@ -523,15 +607,20 @@ class _Kernel:
             self.nodes += 1
             pw[ti] -= lab
             pw[hi_v] += lab
+            keep = cands
             added = []
             for v in closes:
                 w = pw[v]
-                if not self._weight_ok(w):
+                if w in seen:
                     break
+                if keep is not None:
+                    keep = _fitting(keep, w)
+                    if not keep:
+                        break
                 seen.add(w)
                 added.append(w)
             else:
-                self._arc_slot_vertex_distinct(k + 1)
+                self._arc_slot_vertex_distinct(k + 1, keep)
             for w in added:
                 seen.discard(w)
             pw[ti] += lab
@@ -543,14 +632,8 @@ class _Kernel:
     # -- leaves ----------------------------------------------------------
 
     def _leaf(self):
-        if self.target.side == "vertex":
-            weights = self.pw if self.A else self.vl
-        else:
-            vl = self.vl
-            weights = [self.al[i] + vl[self.heads[i]] - vl[self.tails[i]]
-                       for i in range(self.A)]
-        if not self.target.matches(verdict_of(weights)):
-            return
+        """Every weight was checked on the way down, so the labeling is in
+        the target class: count it and keep it as a witness."""
         self.count += 1
         if self.cap:
             self.wits.append(TotalLabeling(tuple(self.vl), tuple(self.al)))
@@ -623,6 +706,11 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
         payloads = [(query, lab) for lab in _Kernel(query).first_labels()]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_task, payloads))
+    return _report(query, results, started)
+
+
+def _report(query: SearchQuery, results: list, started: float) -> SearchReport:
+    """Merge the run() results of the branches, in canonical order."""
     total = sum(r[0] for r in results)
     witnesses = [w for r in results for w in r[1]]
     nodes = sum(r[2] for r in results)

@@ -2,11 +2,15 @@
 
 The magic rules are the magic constant from the label-sum identity,
 distinct arc-magic bases within the label spread, and the last-slot
-residue cut; distinctness and pinned arithmetic targets cut on fully
-determined weights.  The pruned kernel must agree with the reference
-enumerator on random digraphs for every target kind, and the node counts
-of a few instances are pinned so that any change to the rules shows."""
+residue cut.  Distinctness targets cut duplicate weights as soon as they
+are fixed, and arithmetic targets keep only the progressions that the
+fixed weight sum allows and that every fixed weight is a term of.  The
+pruned kernel must agree with the reference enumerator on random digraphs
+for every target kind, and the node counts of a few instances are pinned
+so that any change to the rules shows."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sublabel import Digraph, SearchQuery, Target, build_family, search
+from sublabel.search import _Kernel, _report
 
 MAX_LABELS = 8
 
@@ -42,29 +47,55 @@ def targets(draw):
                   d=draw(st.none() | st.integers(1, 3)))
 
 
-@settings(max_examples=60, deadline=None,
+def split_in_process(q):
+    """What search(q, workers=2) returns, with the branches run here."""
+    results = [_Kernel(q).run(first_label=lab) for lab in _Kernel(q).first_labels()]
+    return _report(q, results, 0.0)
+
+
+def examples(*cases):
+    """@example for each (graph, target): every witness, through a real pool."""
+    def wrap(test):
+        for graph, target in cases:
+            test = example(graph=graph, target=target, strong=False, strong_star=False,
+                           limit=10 ** 9, pool=True)(test)
+        return test
+    return wrap
+
+
+# generated examples compare the split in this process, as a pool per
+# example makes a failure too slow to shrink; the explicit examples keep
+# the pool
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=small_digraphs(),
        target=targets(),
        strong=st.booleans(),
        strong_star=st.booleans(),
-       limit=st.sampled_from((1, 3, 10 ** 9)))
-@example(graph=Digraph(1, ()), target=Target("vertex", "magic"), strong=False,
-         strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(1, ()), target=Target("arc", "magic"), strong=False,
-         strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(3, ((0, 1), (0, 2))), target=Target("arc", "magic"), strong=False,
-         strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(3, ((0, 1), (1, 0), (2, 0))), target=Target("arc", "magic"),
-         strong=False, strong_star=False, limit=10 ** 9)
-@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), target=Target("vertex", "magic"),
-         strong=False, strong_star=False, limit=10 ** 9)
-def test_magic_rules_match_reference(graph, target, strong, strong_star, limit):
+       limit=st.sampled_from((1, 3, 10 ** 9)),
+       pool=st.just(False))
+@examples(
+    (Digraph(1, ()), Target("vertex", "magic")),
+    (Digraph(1, ()), Target("arc", "magic")),
+    (Digraph(3, ((0, 1), (0, 2))), Target("arc", "magic")),
+    (Digraph(3, ((0, 1), (1, 0), (2, 0))), Target("arc", "magic")),
+    (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("vertex", "magic")),
+    # a single weight, or none, is magic: no distinctness target holds
+    (Digraph(1, ()), Target("vertex", "antimagic")),
+    (Digraph(2, ((0, 1),)), Target("arc", "antimagic")),
+    (Digraph(2, ((0, 1),)), Target("arc", "arithmetic")),
+    (Digraph(3, ()), Target("arc", "arithmetic", d=1)),
+    # A = 0: the vertex weights are the vertex labels
+    (Digraph(3, ()), Target("vertex", "arithmetic")),
+    (Digraph(3, ()), Target("vertex", "antimagic")),
+    (Digraph(3, ((0, 1),)), Target("vertex", "arithmetic", a=1)),
+)
+def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, pool):
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
     reference = search(q, pruned=False)
-    for workers in (1, 2):
-        pruned = search(q, workers=workers)
+    two = search(q, workers=2) if pool else split_in_process(q)
+    for workers, pruned in ((1, search(q)), (2, two)):
         assert pruned.solutions_found == reference.solutions_found
         assert pruned.witnesses == reference.witnesses
         assert pruned.exhaustive == reference.exhaustive
@@ -78,12 +109,28 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit):
     ("tadpole", 3, {"t": 3}, "arc", "magic", 42176, 4),
     ("star", 5, {"orientation": "out"}, "arc", "magic", 274711, 11520),
     ("star", 3, {}, "vertex", "magic", 517, 0),
-    ("cycle", 4, {}, "vertex", "arithmetic", 107944, 816),
+    ("cycle", 4, {}, "vertex", "arithmetic", 29380, 816),
     ("cycle", 4, {}, "arc", "antimagic", 94428, 30912),
+    ("path", 5, {"orientation": "forward"}, "arc", "arithmetic", 58179, 5048),
+    pytest.param("cycle", 5, {}, "vertex", ("arithmetic", 1, 1), 44600, 720,
+                 id="cycle-5-kw6-vertex-arithmetic-a1-d1-44600-720"),
 ])
 def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
-    report = search(SearchQuery(build_family(family, n, **kw), Target(side, kind)))
+    target = Target(side, *kind) if isinstance(kind, tuple) else Target(side, kind)
+    report = search(SearchQuery(build_family(family, n, **kw), target))
     assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
+
+
+def test_unpinned_progressions_are_all_found():
+    # cycle(5) vertex-arithmetic with neither a nor d given: every sum of
+    # the vertex labels leaves its own candidate progressions
+    q = SearchQuery(build_family("cycle", 5), Target("vertex", "arithmetic"),
+                    mode="collect-up-to", limit=10 ** 9)
+    report = search(q)
+    text = json.dumps([[list(w.vertex_labels), list(w.arc_labels)] for w in report.witnesses],
+                      separators=(",", ":"))
+    assert report.solutions_found == 9620
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a0bde215a07766cf"
 
 
 @pytest.mark.parametrize("family,n,nodes", [
@@ -99,9 +146,12 @@ def test_reference_count_all_visits_every_prefix(family, n, nodes):
 
 
 def test_count_all_nodes_are_the_same_at_two_workers():
-    q = SearchQuery(build_family("tadpole", 3, t=2), Target("arc", "magic"))
-    one, two = search(q), search(q, workers=2)
-    assert (one.solutions_found, one.nodes_visited) == (two.solutions_found, two.nodes_visited)
+    for q in (SearchQuery(build_family("tadpole", 3, t=2), Target("arc", "magic")),
+              SearchQuery(build_family("cycle", 4), Target("vertex", "arithmetic")),
+              SearchQuery(build_family("path", 4), Target("arc", "arithmetic"))):
+        one, two = search(q), search(q, workers=2)
+        assert (one.solutions_found, one.nodes_visited) == \
+            (two.solutions_found, two.nodes_visited)
 
 
 @pytest.mark.parametrize("kind,kw", [
