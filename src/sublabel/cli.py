@@ -66,8 +66,9 @@ def _cmd_construct(args) -> int:
     if kind not in kinds:
         return _fail(f"no {kind!r} labeling for {family}; valid kinds: {', '.join(kinds)}")
     wanted = KIND_ORIENTATION.get((family, kind))
-    if args.orientation is not None and args.orientation != (wanted or args.orientation):
-        return _fail(f"the {kind} labeling of a {family} uses the {wanted} orientation")
+    if args.orientation is not None and args.orientation != wanted:
+        return _fail(f"the {kind} labeling of a {family} uses the {wanted} orientation" if wanted
+                     else f"{family} has a single canonical orientation; do not pass --orientation")
     try:
         g, l = construct(family, args.n, kind, t=args.t)
     except ParameterError as exc:
@@ -134,7 +135,7 @@ def _resolve_cap(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise DocumentError(f"{ENV_CAP_VAR} must be an integer, got {env!r}")
+            raise ValueError(f"{ENV_CAP_VAR} must be an integer, got {env!r}")
     return DEFAULT_CAP
 
 

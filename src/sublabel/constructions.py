@@ -170,11 +170,14 @@ def construct_butterfly(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
 
 
 def construct(family: str, n: int, kind: str, t: int | None = None) -> tuple[Digraph, TotalLabeling]:
-    """Dispatch to the family constructor; validates the (family, kind) pair."""
+    """Dispatch to the family constructor; validates the (family, kind) pair,
+    and t, which tadpoles need and the other families reject."""
     if family not in CONSTRUCTION_KINDS:
         raise ParameterError(
             f"unknown family {family!r}; expected one of {', '.join(CONSTRUCTION_KINDS)}")
     _check_kind(family, kind)
+    if family != "tadpole" and t is not None:
+        raise ParameterError(f"parameter t is only meaningful for tadpoles, not {family}")
     if family == "path":
         return construct_path(n, kind)
     if family == "cycle":

@@ -25,35 +25,39 @@ Two enumerators produce the same results:
   3. last-slot residue cut: the last vertex slot offers only the labels
      that make mu an integer.
 
-  Distinctness targets are settled in the arc phase.  A side with fewer
-  than two weights is magic, so it has no solution.  Each weight is
-  checked against the weights fixed before it as soon as it is fully
-  determined, and duplicates are cut:
+  After the vertex phase the weight sum S of the target side's k weights
+  is fixed, by the identity of rule 1 on the arc side and as sum(vl) on
+  the vertex side.  A side with fewer than two weights is magic, so a
+  distinctness target there has no solution.  The arc phase then keeps
+  the weights inside the candidate progressions:
 
-  4. progression candidates: after the vertex phase the sum S of the
-     target side's k weights is fixed, by the identity of rule 1 on the arc
-     side and as sum(vl) on the vertex side.  An arithmetic target can
-     only be a progression a, a + d, .., a + (k-1)d with
+  4. progression candidates: a magic target's weights form the one-term
+     progression mu..mu, with mu = S / k.  An arithmetic target's can only
+     be a progression a, a + d, .., a + (k-1)d with
      k * a + d * k(k-1)/2 = S, inside the range the weights can reach and
-     with the given a and d.  Each fixed weight drops the candidates it is
-     not a term of, and a branch with none left is cut;
+     with the given a and d.  Each weight of an arithmetic target drops,
+     once it is fixed, the candidates it is not a term of, and a branch
+     with none left is cut;
   5. candidate span: all candidates are centred on S / k, so the one with
      the largest d spans the others.  An arc-side slot offers only the
      labels whose weight lies in that span; a vertex-side slot only those
      that leave both endpoints able to reach it, with their open arcs.
+     For a vertex-magic target the span is mu..mu, so the last open arc
+     of a vertex has a forced label.
 
-  Every leaf therefore holds k distinct weights, all terms of one k-term
-  progression for arithmetic targets, and is counted without its weights
+  Arc-magic arc labels are all forced by rule 1 and are placed in one
+  pass.  Distinctness targets also cut a weight equal to one fixed before
+  it, as soon as it is fully determined.  Every leaf therefore holds k
+  weights that are equal, or distinct and for arithmetic targets all
+  terms of one k-term progression, and is counted without its weights
   being rebuilt or classified.
 
-  Vertex-magic targets force the label of the last open arc of a vertex
-  and cut partial vertex weights that cannot reach mu any more.  Which
-  vertex weights an arc settles, and the window each other endpoint's
-  weight must stay in, depend only on the arc order, so they are tabled
-  once per kernel.  The vertex phase and the arc-side loops count a node
-  only for a placement that passes their rules; the vertex-side arc loops
-  count every placement of an unused label in the slot's range and check
-  the weights after it;
+  How far each endpoint's weight can still move, and which vertex weights
+  an arc settles, depend only on the arc order, so they are tabled once
+  per kernel.  The vertex phase and the arc-side loops count a node only
+  for a placement that passes their rules; the vertex-side arc loop
+  counts every placement of an unused label in the slot's narrowed range
+  and checks the settled weights after it;
 * the reference enumerator (`_reference`) is the oracle: it walks every
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
@@ -66,8 +70,8 @@ The search space is N!, so the entry point refuses graphs beyond a cap
 target far more than on N.  Measured single-threaded on a 2-core x86-64
 host with Python 3.11: the count-all arc-magic search of the 7-cycle
 (N = 14) visits 545,164 nodes in about 2 s, cycle(6) vertex-magic
-(N = 12) about 1.1M nodes in 3 s.  Unpinned arithmetic targets cost about
-as much once rules 4 and 5 apply: cycle(5) vertex-arithmetic (N = 10)
+(N = 12) 797,702 nodes in about 1.5 s.  Unpinned arithmetic targets cost
+about as much once rules 4 and 5 apply: cycle(5) vertex-arithmetic (N = 10)
 visits 625,146 nodes and friendship(2) arc-arithmetic (N = 11) 438,695,
 about 2 s each, against 9.3M nodes in about 35 s and 69.4M in about 4
 minutes without them.  Antimagic targets count every solution as a leaf:
@@ -147,6 +151,8 @@ class SearchQuery:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.mode == "collect-up-to" and (self.limit is None or self.limit < 1):
             raise ValueError("collect-up-to mode needs a positive limit")
+        if self.mode != "collect-up-to" and self.limit is not None:
+            raise ValueError(f"a limit applies to collect-up-to mode only, not to {self.mode}")
 
     @property
     def witness_cap(self) -> int:
@@ -209,8 +215,9 @@ class SearchReport:
 
 
 def _fitting(cands: list, w: int) -> list:
-    """The candidate progressions (a, d, top) that have w as a term."""
-    return [c for c in cands if c[0] <= w <= c[2] and (w - c[0]) % c[1] == 0]
+    """The candidate progressions (a, d, top) that have w as a term; d is 0
+    for the one term of a magic target."""
+    return [c for c in cands if c[0] <= w <= c[2] and (w == c[0] or (w - c[0]) % c[1] == 0)]
 
 
 class _Kernel:
@@ -220,10 +227,10 @@ class _Kernel:
     # attributes the rules add
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
                  "v_lo", "v_hi", "a_lo", "a_hi", "completes", "residue",
-                 "base_used", "spread", "coef", "closes", "windows", "reach",
+                 "base_used", "spread", "coef", "closes", "reach",
                  "v_reach", "isolated",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
-                 "bmin", "bmax", "seen", "pw", "mu")
+                 "bmin", "bmax", "seen", "pw")
 
     def __init__(self, query: SearchQuery):
         g = query.graph
@@ -269,13 +276,14 @@ class _Kernel:
             self._set_residue(self.coef, self.total, self.A)
         elif t.kind == "magic" and t.side == "vertex" and self.V:
             self._set_residue([1] * self.V, 0, self.V)  # V * mu = sum(vl)
-        # vertex-side arc-phase tables, fixed by the arc order.  closes[k]
-        # lists the endpoints (tail first) whose last arc is k: their weight
-        # is final once arc k is placed.  windows[k] holds (v, lo, hi) for
-        # each other endpoint v: the arcs of v after k change its weight by
-        # lo..hi, as each adds 1..N (in-arc) or takes 1..N away (out-arc).
-        # reach[k] is lo, hi of the tail, then of the head, 0, 0 once
-        # closed; v_reach[v] is the window of v over the whole arc phase.
+        # vertex-side arc-phase tables, fixed by the arc order.  reach[k] is
+        # lo, hi of the tail, then of the head of arc k: the arcs of that
+        # endpoint after k change its weight by lo..hi, as each adds 1..N
+        # (in-arc) or takes 1..N away (out-arc), and 0, 0 once k is its last
+        # arc.  v_reach[v] is the window of v over the whole arc phase.
+        # closes[k] lists the endpoints (tail first) whose last arc is k, for
+        # the duplicate check; a magic weight closed inside rule 5's span is
+        # mu, so magic targets check none.
         n = self.N
         rin, rout = in_deg[:], out_deg[:]
 
@@ -284,13 +292,12 @@ class _Kernel:
 
         self.v_reach = [window(v) for v in range(self.V)]
         self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
-        self.closes, self.windows, self.reach = [], [], []
+        self.closes, self.reach = [], []
         for tail, head in g.arcs:
             rout[tail] -= 1
             rin[head] -= 1
-            ends = (tail, head)
-            self.closes.append(tuple(v for v in ends if rin[v] == 0 == rout[v]))
-            self.windows.append(tuple((v, *window(v)) for v in ends if rin[v] or rout[v]))
+            self.closes.append(() if t.kind == "magic" else
+                               tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
             self.reach.append(window(tail) + window(head))
 
     def _set_residue(self, coef: list[int], k: int, m: int):
@@ -424,44 +431,44 @@ class _Kernel:
     def _boundary(self):
         """All vertex labels placed; set up the arc phase.
 
-        The distinctness loops get the candidate progressions of an
-        arithmetic target (rule 4), or None for an antimagic one.
+        The weight sum S of the target side is now fixed, and with it the
+        candidate progressions (a, d, top): the one-term span (mu, 0, mu)
+        of a magic target, those of rule 4 for an arithmetic target, None
+        for an antimagic one.
         """
         t = self.target
         vl = self.vl
-        k = self.A if t.side == "arc" else self.V
+        arc = t.side == "arc"
+        k = self.A if arc else self.V
         if k < 2 and t.kind != "magic":
             return  # no weight or a single one classifies as magic
-        if t.side == "arc":
-            if t.kind == "magic":
-                self._arcs_arc_magic()
-                return
-            cands = None
-            if t.kind == "arithmetic":
-                bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
-                cands = self._progressions(k, self.total - sum(map(mul, self.coef, vl)),
-                                           self.a_lo + min(bases), self.a_hi + max(bases))
-                if not cands:
-                    return
-            self.seen = set()
-            self._arc_slot_arc_distinct(0, cands)
-            return
-        # vertex-side targets track partial vertex weights through the arc phase
-        self.pw = list(vl)
-        if t.kind == "magic":
-            self.mu = sum(vl) // self.V  # exact: the last slot kept the residue
-            if all(vl[v] == self.mu for v in self.isolated):
-                self._arc_slot_vertex_magic(0)
-            return
+        # rule 1's identity on the arc side; on the vertex side the arcs add
+        # to one vertex weight what they take from another
+        s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
         cands = None
-        if t.kind == "arithmetic":
-            # the arcs add to one vertex weight what they take from another
-            cands = self._progressions(k, sum(vl),
-                                       min(x + lo for x, (lo, _) in zip(vl, self.v_reach)),
-                                       max(x + hi for x, (_, hi) in zip(vl, self.v_reach)))
+        if t.kind == "magic":
+            mu = s // k if k else 0  # exact: the last vertex slot kept the residue
+            cands = [(mu, 0, mu)]
+        elif t.kind == "arithmetic":
+            if arc:
+                bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
+                lo, hi = self.a_lo + min(bases), self.a_hi + max(bases)
+            else:
+                lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach))
+                hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach))
+            cands = self._progressions(k, s, lo, hi)
             if not cands:
                 return
+        if arc and t.kind == "magic":
+            self._arcs_arc_magic(mu)
+            return
         self.seen = set()
+        if arc:
+            self._arc_slot_arc_distinct(0, cands)
+            return
+        # vertex-side targets track partial vertex weights through the arc
+        # phase; an isolated vertex's weight is its label, final already
+        self.pw = list(vl)
         for v in self.isolated:
             w = vl[v]
             if cands is not None:
@@ -469,7 +476,7 @@ class _Kernel:
             if w in self.seen or cands == []:
                 return
             self.seen.add(w)
-        self._arc_slot_vertex_distinct(0, cands)
+        self._arc_slot_vertex(0, cands)
 
     def _progressions(self, k: int, total: int, lo: int, hi: int) -> list:
         """The progressions (a, d, top) of k terms a, a + d, .., top = a + (k-1)d
@@ -496,20 +503,17 @@ class _Kernel:
 
     # -- arc phase, arc-side targets ------------------------------------
 
-    def _arcs_arc_magic(self):
+    def _arcs_arc_magic(self, mu: int):
         """Place the arc labels mu - base, all forced, in arc order."""
         al, used, vl = self.al, self.used, self.vl
         placed = 0
-        if self.A:
-            arc_sum = self.total - sum(map(mul, self.coef, vl))
-            mu = arc_sum // self.A  # exact: the last vertex slot kept the residue
-            for k in range(self.A):
-                lab = mu - vl[self.heads[k]] + vl[self.tails[k]]
-                if not self.a_lo <= lab <= self.a_hi or used[lab]:
-                    break
-                used[lab] = True
-                al[k] = lab
-                placed += 1
+        for k in range(self.A):
+            lab = mu - vl[self.heads[k]] + vl[self.tails[k]]
+            if not self.a_lo <= lab <= self.a_hi or used[lab]:
+                break
+            used[lab] = True
+            al[k] = lab
+            placed += 1
         self.nodes += placed
         if placed == self.A:
             self._leaf()
@@ -550,55 +554,32 @@ class _Kernel:
 
     # -- arc phase, vertex-side targets ----------------------------------
 
-    def _arc_slot_vertex_magic(self, k: int):
-        if k == self.A:
-            self._leaf()
-            return
-        ti, hi_v = self.tails[k], self.heads[k]
-        al, used, pw, mu = self.al, self.used, self.pw, self.mu
-        # an arc that is the last open arc of an endpoint has a forced label
-        closes = self.closes[k]
-        if closes:
-            forced = pw[ti] - mu if ti in closes else mu - pw[hi_v]
-            if hi_v in closes and forced != mu - pw[hi_v]:
-                return
-            labels = (forced,) if self.a_lo <= forced <= self.a_hi else ()
-        else:
-            labels = range(self.a_lo, self.a_hi + 1)
-        windows = self.windows[k]
-        for lab in labels:
-            if used[lab]:
-                continue
-            used[lab] = True
-            al[k] = lab
-            self.nodes += 1
-            pw[ti] -= lab
-            pw[hi_v] += lab
-            for v, lo, hi in windows:
-                if not lo <= mu - pw[v] <= hi:
-                    break
-            else:
-                self._arc_slot_vertex_magic(k + 1)
-            pw[ti] += lab
-            pw[hi_v] -= lab
-            used[lab] = False
-            if self.stopped:
-                return
-
-    def _arc_slot_vertex_distinct(self, k: int, cands):
+    def _arc_slot_vertex(self, k: int, cands):
         if k == self.A:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
         al, used, pw, seen = self.al, self.used, self.pw, self.seen
-        closes = self.closes[k]
         lo, hi = self.a_lo, self.a_hi
         if cands is not None:
-            # the final weights of both endpoints must reach the widest candidate
+            # the final weights of both endpoints must reach the widest
+            # candidate; for magic targets this forces the label of an arc
+            # that closes an endpoint.  Unrolled: min() and max() cost more.
             slo, _, shi = cands[-1]
             t_lo, t_hi, h_lo, h_hi = self.reach[k]
-            lo = max(lo, pw[ti] + t_lo - shi, slo - h_hi - pw[hi_v])
-            hi = min(hi, pw[ti] + t_hi - slo, shi - h_lo - pw[hi_v])
+            x = pw[ti] + t_lo - shi
+            if x > lo:
+                lo = x
+            x = slo - h_hi - pw[hi_v]
+            if x > lo:
+                lo = x
+            x = pw[ti] + t_hi - slo
+            if x < hi:
+                hi = x
+            x = shi - h_lo - pw[hi_v]
+            if x < hi:
+                hi = x
+        closes = self.closes[k]
         for lab in range(lo, hi + 1):
             if used[lab]:
                 continue
@@ -607,22 +588,25 @@ class _Kernel:
             self.nodes += 1
             pw[ti] -= lab
             pw[hi_v] += lab
-            keep = cands
-            added = []
-            for v in closes:
-                w = pw[v]
-                if w in seen:
-                    break
-                if keep is not None:
-                    keep = _fitting(keep, w)
-                    if not keep:
-                        break
-                seen.add(w)
-                added.append(w)
+            if not closes:
+                self._arc_slot_vertex(k + 1, cands)
             else:
-                self._arc_slot_vertex_distinct(k + 1, keep)
-            for w in added:
-                seen.discard(w)
+                keep = cands
+                added = []
+                for v in closes:
+                    w = pw[v]
+                    if w in seen:
+                        break
+                    if keep is not None:
+                        keep = _fitting(keep, w)
+                        if not keep:
+                            break
+                    seen.add(w)
+                    added.append(w)
+                else:
+                    self._arc_slot_vertex(k + 1, keep)
+                for w in added:
+                    seen.discard(w)
             pw[ti] += lab
             pw[hi_v] -= lab
             used[lab] = False

@@ -81,6 +81,20 @@ def test_constructor_bounds_error_exits_2(capsys):
     assert "n >= 3" in err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--family", "cycle", "--labeling", "sa-sv-al", "--orientation", "in"],
+     "single canonical orientation"),
+    (["--family", "path", "--labeling", "saml", "--orientation", "forward"],
+     "alternating orientation"),
+    (["--family", "path", "--labeling", "saml", "--t", "2"], "only meaningful for tadpoles"),
+])
+def test_construct_rejects_inapplicable_options(capsys, extra, message):
+    code, stdout, err = run(capsys, "construct", "--n", "4", *extra)
+    assert code == 2
+    assert stdout == ""
+    assert message in err
+
+
 def test_verify_rejects_non_bijection_exits_2(capsys, tmp_path):
     doc = {"format_version": 1, "vertex_count": 3, "arcs": [[0, 1], [1, 2]],
            "vertex_labels": [1, 2, 3], "arc_labels": [6, 5]}
@@ -165,6 +179,14 @@ def test_search_env_cap(capsys, monkeypatch):
     code, _, _ = run(capsys, "search", "--family", "cycle", "--n", "3",
                      "--class", "saml", "--cap", "12")
     assert code == 1
+
+
+def test_search_env_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SUBLABEL_SEARCH_CAP", "twelve")
+    code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3",
+                            "--class", "saml")
+    assert code == 2 and stdout == ""
+    assert "SUBLABEL_SEARCH_CAP must be an integer" in err
 
 
 def test_search_from_document_input(capsys, tmp_path):
@@ -275,6 +297,8 @@ def test_search_workers_flag(capsys):
     (["--class", "saal", "--d", "1"], "arithmetic targets only"),
     (["--class", "saal", "--workers", "0"], "workers"),
     (["--class", "saal", "--workers", "-3"], "workers"),
+    (["--class", "saal", "--limit", "5"], "collect-up-to mode only"),
+    (["--class", "saal", "--mode", "first-witness", "--limit", "5"], "collect-up-to mode only"),
 ])
 def test_search_rejects_bad_target_and_worker_options(capsys, extra, message):
     code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3", *extra)

@@ -249,6 +249,12 @@ def test_construct_dispatcher_matches_direct_calls():
         construct("tadpole", 3, "saal")  # t missing
 
 
+@pytest.mark.parametrize("family,kind", [("path", "saml"), ("cycle", "sa-sv-al")])
+def test_construct_rejects_t_outside_tadpoles(family, kind):
+    with pytest.raises(ParameterError, match="only meaningful for tadpoles"):
+        construct(family, 4, kind, t=2)
+
+
 @pytest.mark.parametrize("family,n,t,kind", [
     ("path", 1, None, "saml"), ("cycle", 2, None, "sa-sv-al"),
     ("star", 0, None, "saml"), ("wheel", 2, None, "sval"),

@@ -4,7 +4,9 @@ The magic rules are the magic constant from the label-sum identity,
 distinct arc-magic bases within the label spread, and the last-slot
 residue cut.  Distinctness targets cut duplicate weights as soon as they
 are fixed, and arithmetic targets keep only the progressions that the
-fixed weight sum allows and that every fixed weight is a term of.  The
+fixed weight sum allows and that every fixed weight is a term of.  On the
+vertex side magic and arithmetic targets keep each vertex able to reach
+the widest candidate progression, the one term mu for a magic target.  The
 pruned kernel must agree with the reference enumerator on random digraphs
 for every target kind, and the node counts of a few instances are pinned
 so that any change to the rules shows."""
@@ -80,6 +82,10 @@ def examples(*cases):
     (Digraph(3, ((0, 1), (0, 2))), Target("arc", "magic")),
     (Digraph(3, ((0, 1), (1, 0), (2, 0))), Target("arc", "magic")),
     (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("vertex", "magic")),
+    # an isolated vertex beside an arc, and a 2-cycle, whose arcs both
+    # close their endpoints
+    (Digraph(3, ((0, 1),)), Target("vertex", "magic")),
+    (Digraph(2, ((0, 1), (1, 0))), Target("vertex", "magic")),
     # a single weight, or none, is magic: no distinctness target holds
     (Digraph(1, ()), Target("vertex", "antimagic")),
     (Digraph(2, ((0, 1),)), Target("arc", "antimagic")),
@@ -108,12 +114,13 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, 
 @pytest.mark.parametrize("family,n,kw,side,kind,nodes,solutions", [
     ("tadpole", 3, {"t": 3}, "arc", "magic", 42176, 4),
     ("star", 5, {"orientation": "out"}, "arc", "magic", 274711, 11520),
-    ("star", 3, {}, "vertex", "magic", 517, 0),
+    ("star", 3, {}, "vertex", "magic", 477, 0),
     ("cycle", 4, {}, "vertex", "arithmetic", 29380, 816),
     ("cycle", 4, {}, "arc", "antimagic", 94428, 30912),
     ("path", 5, {"orientation": "forward"}, "arc", "arithmetic", 58179, 5048),
     pytest.param("cycle", 5, {}, "vertex", ("arithmetic", 1, 1), 44600, 720,
                  id="cycle-5-kw6-vertex-arithmetic-a1-d1-44600-720"),
+    ("tadpole", 3, {"t": 2}, "vertex", "magic", 40786, 13),
 ])
 def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
     target = Target(side, *kind) if isinstance(kind, tuple) else Target(side, kind)
@@ -121,16 +128,26 @@ def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
     assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
 
 
+def every_witness(graph, target):
+    """(solutions, digest of the witness list) of a collect-all search."""
+    report = search(SearchQuery(graph, target, mode="collect-up-to", limit=10 ** 9))
+    text = json.dumps([[list(w.vertex_labels), list(w.arc_labels)] for w in report.witnesses],
+                      separators=(",", ":"))
+    return report.solutions_found, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_unpinned_progressions_are_all_found():
     # cycle(5) vertex-arithmetic with neither a nor d given: every sum of
     # the vertex labels leaves its own candidate progressions
-    q = SearchQuery(build_family("cycle", 5), Target("vertex", "arithmetic"),
-                    mode="collect-up-to", limit=10 ** 9)
-    report = search(q)
-    text = json.dumps([[list(w.vertex_labels), list(w.arc_labels)] for w in report.witnesses],
-                      separators=(",", ":"))
-    assert report.solutions_found == 9620
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a0bde215a07766cf"
+    assert every_witness(build_family("cycle", 5), Target("vertex", "arithmetic")) == \
+        (9620, "a0bde215a07766cf")
+
+
+def test_vertex_magic_witnesses_are_all_found():
+    # the labels forced by the one-term span mu..mu keep every witness,
+    # in canonical order
+    assert every_witness(build_family("tadpole", 3, t=2), Target("vertex", "magic")) == \
+        (13, "33df102b92d9a23b")
 
 
 @pytest.mark.parametrize("family,n,nodes", [
@@ -148,7 +165,8 @@ def test_reference_count_all_visits_every_prefix(family, n, nodes):
 def test_count_all_nodes_are_the_same_at_two_workers():
     for q in (SearchQuery(build_family("tadpole", 3, t=2), Target("arc", "magic")),
               SearchQuery(build_family("cycle", 4), Target("vertex", "arithmetic")),
-              SearchQuery(build_family("path", 4), Target("arc", "arithmetic"))):
+              SearchQuery(build_family("path", 4), Target("arc", "arithmetic")),
+              SearchQuery(build_family("tadpole", 3, t=1), Target("vertex", "magic"))):
         one, two = search(q), search(q, workers=2)
         assert (one.solutions_found, one.nodes_visited) == \
             (two.solutions_found, two.nodes_visited)
@@ -164,6 +182,13 @@ def test_count_all_nodes_are_the_same_at_two_workers():
 def test_target_rejects_misplaced_or_invalid_parameters(kind, kw):
     with pytest.raises(ValueError):
         Target("arc", kind, **kw)
+
+
+@pytest.mark.parametrize("mode", ["count-all", "first-witness"])
+def test_query_rejects_a_limit_outside_collect_up_to(mode):
+    graph = build_family("path", 2)
+    with pytest.raises(ValueError, match="collect-up-to mode only"):
+        SearchQuery(graph, Target("arc", "magic"), mode=mode, limit=5)
 
 
 def test_search_rejects_fewer_than_one_worker():
