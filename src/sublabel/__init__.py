@@ -16,7 +16,7 @@ from .constructions import (CONSTRUCTION_KINDS, GracefulInputError, construct,
                             construct_star, construct_tadpole, construct_wheel,
                             graceful_to_strong_saml)
 from .search import (DEFAULT_CAP, SearchCapError, SearchQuery, SearchReport,
-                     Target, search, verify_iff_cycles)
+                     Target, search)
 from .document import DocumentError, LabelingDocument, from_dict, from_json, to_dot
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "construct_path", "construct_star", "construct_tadpole", "construct_wheel",
     "graceful_to_strong_saml",
     "DEFAULT_CAP", "SearchCapError", "SearchQuery", "SearchReport", "Target",
-    "search", "verify_iff_cycles",
+    "search",
     "DocumentError", "LabelingDocument", "from_dict", "from_json", "to_dot",
     "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 means found/ok, 1 means an
 exhaustive negative (no solutions, or no side classified), 2 means a
-usage or validation problem, 141 means stdout was closed before the
-output was written (for example by `| head`).
+usage or validation problem (graph options given with --input included)
+or an input or output file that cannot be read or written, 141 means
+stdout was closed before the output was written (for example by `| head`).
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import os
 import sys
 
-from .constructions import CONSTRUCTION_KINDS, KIND_ORIENTATION, construct
-from .digraph import ParameterError, build_family
-from .document import DocumentError, LabelingDocument, from_json, to_dot
-from .labeling import BijectionError, classify, weight_profile
-from .search import (DEFAULT_CAP, ENV_CAP_VAR, SearchCapError, SearchQuery,
-                     Target, search)
+from .constructions import CONSTRUCTION_KINDS, construct
+from .digraph import build_family
+from .document import LabelingDocument, from_json, to_dot
+from .labeling import classify, weight_profile
+from .search import DEFAULT_CAP, ENV_CAP_VAR, SearchQuery, Target, search
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
 
@@ -60,19 +60,11 @@ def _fail(message: str) -> int:
 def _cmd_construct(args) -> int:
     family = args.family
     kind = args.labeling
-    kinds = CONSTRUCTION_KINDS.get(family)
-    if kinds is None:
-        return _fail(f"unknown family {family!r}; expected one of {', '.join(CONSTRUCTION_KINDS)}")
-    if kind not in kinds:
-        return _fail(f"no {kind!r} labeling for {family}; valid kinds: {', '.join(kinds)}")
-    wanted = KIND_ORIENTATION.get((family, kind))
+    g, l = construct(family, args.n, kind, t=args.t)
+    wanted = g.family.orientation
     if args.orientation is not None and args.orientation != wanted:
         return _fail(f"the {kind} labeling of a {family} uses the {wanted} orientation" if wanted
                      else f"{family} has a single canonical orientation; do not pass --orientation")
-    try:
-        g, l = construct(family, args.n, kind, t=args.t)
-    except ParameterError as exc:
-        return _fail(str(exc))
     notes = (_PATH_CORRECTION_NOTE,) if (family, kind) == ("path", "sa-al") else ()
     doc = LabelingDocument(g, l, classification=classify(g, l).to_dict(), notes=notes)
     _write_output(doc.to_json(), args.out)
@@ -84,18 +76,12 @@ def _verdict_line(side: str, verdict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        doc = from_json(_read_input(args.input))
-    except DocumentError as exc:
-        return _fail(str(exc))
+    doc = from_json(_read_input(args.input))
     if doc.labeling is None:
         return _fail("document carries no labeling to verify")
     g, l = doc.graph, doc.labeling
-    try:
-        cls = classify(g, l)
-        profile = weight_profile(g, l)
-    except BijectionError as exc:
-        return _fail(str(exc))
+    cls = classify(g, l)
+    profile = weight_profile(g, l)
     if g.family is not None:
         tag = g.family
         params = f" n={tag.n}" + (f" t={tag.t}" if tag.t is not None else "")
@@ -142,26 +128,25 @@ def _resolve_cap(args) -> int:
 def _cmd_search(args) -> int:
     if (args.family is None) == (args.input is None):
         return _fail("give exactly one of --family or --input")
-    if args.family is not None and args.n is None:
-        return _fail("--n is required with --family")
-    try:
-        if args.family is not None:
-            graph = build_family(args.family, args.n, t=args.t, orientation=args.orientation)
-        else:
-            graph = from_json(_read_input(args.input)).graph
-    except (ParameterError, DocumentError, TypeError) as exc:
-        return _fail(str(exc))
+    if args.family is not None:
+        if args.n is None:
+            return _fail("--n is required with --family")
+        graph = build_family(args.family, args.n, t=args.t, orientation=args.orientation)
+    else:
+        graph_options = [f"--{name}" for name in ("n", "t", "orientation")
+                         if getattr(args, name) is not None]
+        if graph_options:
+            return _fail(f"{', '.join(graph_options)} cannot be combined with --input, "
+                         "whose document fixes the graph")
+        graph = from_json(_read_input(args.input)).graph
     side, kind = _CLASS_TOKENS[args.klass]
-    try:
-        target = Target(side, kind, a=args.a, d=args.d)
-        query = SearchQuery(graph, target,
-                            require_strong=args.strong,
-                            require_strong_star=args.strong_star,
-                            mode=args.mode, limit=args.limit)
-        cap = _resolve_cap(args)
-        report = search(query, cap=cap, workers=args.workers)
-    except (ValueError, SearchCapError) as exc:
-        return _fail(str(exc))
+    target = Target(side, kind, a=args.a, d=args.d)
+    query = SearchQuery(graph, target,
+                        require_strong=args.strong,
+                        require_strong_star=args.strong_star,
+                        mode=args.mode, limit=args.limit)
+    cap = _resolve_cap(args)
+    report = search(query, cap=cap, workers=args.workers)
     name = graph.family.name if graph.family else f"{graph.vertex_count}-vertex graph"
     print(f"search: {name}, target {side} {kind}, mode {args.mode}")
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}   "
@@ -173,14 +158,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        doc = from_json(_read_input(args.input))
-    except DocumentError as exc:
-        return _fail(str(exc))
-    try:
-        rendered = to_dot(doc) if args.format == "dot" else doc.to_json()
-    except BijectionError as exc:
-        return _fail(str(exc))
+    doc = from_json(_read_input(args.input))
+    rendered = to_dot(doc) if args.format == "dot" else doc.to_json()
     _write_output(rendered, args.out)
     return 0
 
@@ -238,7 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # entry() turns a closed stdout into exit 141
+    except (ValueError, OSError) as exc:
+        # every library input error is a ValueError (UnicodeDecodeError
+        # included); OSError is an input or output file that cannot be opened
+        return _fail(str(exc))
 
 
 def entry():

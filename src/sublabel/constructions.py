@@ -56,16 +56,7 @@ KIND_ORIENTATION: dict[tuple[str, str], str] = {
 }
 
 
-def _check_kind(family: str, kind: str):
-    kinds = CONSTRUCTION_KINDS[family]
-    if kind not in kinds:
-        raise ParameterError(
-            f"no {kind!r} construction for {family}; valid kinds: {', '.join(kinds)}")
-
-
-def construct_path(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    _check_kind("path", kind)
-    g = build_family("path", n, orientation=KIND_ORIENTATION["path", kind])
+def _path_labels(n: int, t: int | None, kind: str):
     if kind == "saml":
         vl = [(i + 1) // 2 if i % 2 == 1 else n + 1 - i // 2 for i in range(1, n + 1)]
         al = [2 * n - i for i in range(1, n)]
@@ -75,25 +66,16 @@ def construct_path(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
     else:  # sv-al
         vl = [2 * n - i for i in range(1, n + 1)]
         al = list(range(1, n))
-    l = TotalLabeling(tuple(vl), tuple(al))
-    validate_labeling(g, l)
-    return g, l
+    return vl, al
 
 
-def construct_cycle(n: int) -> tuple[Digraph, TotalLabeling]:
-    """A single labeling that is arc-antimagic with weights n+1..2n and
-    vertex-antimagic with weights 1..n at the same time."""
-    g = build_family("cycle", n)
+def _cycle_labels(n: int, t: int | None, kind: str):
     vl = list(range(1, n + 1))
     al = [2 * n - i for i in range(1, n)] + [2 * n]
-    l = TotalLabeling(tuple(vl), tuple(al))
-    validate_labeling(g, l)
-    return g, l
+    return vl, al
 
 
-def construct_star(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    _check_kind("star", kind)
-    g = build_family("star", n, orientation=KIND_ORIENTATION["star", kind])
+def _star_labels(n: int, t: int | None, kind: str):
     if kind == "saml":
         vl = [1] + [i + 1 for i in range(1, n + 1)]
         al = [2 * (n + 1) - i for i in range(1, n + 1)]
@@ -103,24 +85,17 @@ def construct_star(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
     else:  # sval
         vl = [1] + [n + 1 + i for i in range(1, n + 1)]
         al = [n + 2 - i for i in range(1, n + 1)]
-    l = TotalLabeling(tuple(vl), tuple(al))
-    validate_labeling(g, l)
-    return g, l
+    return vl, al
 
 
-def construct_wheel(n: int) -> tuple[Digraph, TotalLabeling]:
-    g = build_family("wheel", n)
+def _wheel_labels(n: int, t: int | None, kind: str):
     vl = [1] + [3 * n + 1 - i for i in range(1, n)] + [3 * n + 1]
     spokes = [i + 1 for i in range(1, n + 1)]
     rim = [n + 2 + i for i in range(1, n)] + [n + 2]
-    l = TotalLabeling(tuple(vl), tuple(spokes + rim))
-    validate_labeling(g, l)
-    return g, l
+    return vl, spokes + rim
 
 
-def construct_tadpole(n: int, t: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    _check_kind("tadpole", kind)
-    g = build_family("tadpole", n, t=t)
+def _tadpole_labels(n: int, t: int, kind: str):
     if kind == "saal":
         vl = [t + 1] + [n + t + 2 - i for i in range(2, n + 1)] + list(range(1, t + 1))
         ring = [n + t + i for i in range(1, n + 1)]
@@ -132,26 +107,19 @@ def construct_tadpole(n: int, t: int, kind: str) -> tuple[Digraph, TotalLabeling
         vl = [n + t + 1] + [2 * n + t + 2 - i for i in range(2, n + 1)]
         vl += [2 * n + 2 * t + 1 - i for i in range(1, t + 1)]
         al = [t + i for i in range(1, n + 1)] + list(range(1, t)) + [t]
-    l = TotalLabeling(tuple(vl), tuple(al))
-    validate_labeling(g, l)
-    return g, l
+    return vl, al
 
 
-def construct_friendship(n: int) -> tuple[Digraph, TotalLabeling]:
-    g = build_family("friendship", n)
+def _friendship_labels(n: int, t: int | None, kind: str):
     vl = [1]
     al = []
     for i in range(1, n + 1):
         vl += [i + 1, n + 1 + i]
         al += [2 * n + 1 + i, 3 * n + 1 + i, 5 * n + 2 - i]
-    l = TotalLabeling(tuple(vl), tuple(al))
-    validate_labeling(g, l)
-    return g, l
+    return vl, al
 
 
-def construct_butterfly(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    _check_kind("butterfly", kind)
-    g = build_family("butterfly", n)
+def _butterfly_labels(n: int, t: int | None, kind: str):
     if kind == "sa-al":
         v = [2 * n - 1 - 2 * i for i in range(1, n)]
         u = [2 * n - 2 * i for i in range(1, n)]
@@ -164,35 +132,65 @@ def construct_butterfly(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
         x = 4 * n - 1
         a = [2 * n - 1 - 2 * i for i in range(1, n)] + [2 * n - 1]
         b = [2 * n - 2 * i for i in range(1, n)] + [2 * n]
-    l = TotalLabeling(tuple(v + u + [x]), tuple(a + b))
+    return v + u + [x], a + b
+
+
+# (vertex labels, arc labels) of each family's constructions, in the
+# storage order of build_family
+_LABELS = {
+    "path": _path_labels,
+    "cycle": _cycle_labels,
+    "star": _star_labels,
+    "wheel": _wheel_labels,
+    "tadpole": _tadpole_labels,
+    "friendship": _friendship_labels,
+    "butterfly": _butterfly_labels,
+}
+
+
+def construct(family: str, n: int, kind: str, t: int | None = None) -> tuple[Digraph, TotalLabeling]:
+    """The known `kind` labeling of a family graph.  build_family checks the
+    family, n and t (which tadpoles need and the other families reject);
+    this checks that the family has a `kind` construction."""
+    g = build_family(family, n, t=t, orientation=KIND_ORIENTATION.get((family, kind)))
+    kinds = CONSTRUCTION_KINDS[family]
+    if kind not in kinds:
+        raise ParameterError(
+            f"no {kind!r} construction for {family}; valid kinds: {', '.join(kinds)}")
+    vl, al = _LABELS[family](n, t, kind)
+    l = TotalLabeling(tuple(vl), tuple(al))
     validate_labeling(g, l)
     return g, l
 
 
-def construct(family: str, n: int, kind: str, t: int | None = None) -> tuple[Digraph, TotalLabeling]:
-    """Dispatch to the family constructor; validates the (family, kind) pair,
-    and t, which tadpoles need and the other families reject."""
-    if family not in CONSTRUCTION_KINDS:
-        raise ParameterError(
-            f"unknown family {family!r}; expected one of {', '.join(CONSTRUCTION_KINDS)}")
-    _check_kind(family, kind)
-    if family != "tadpole" and t is not None:
-        raise ParameterError(f"parameter t is only meaningful for tadpoles, not {family}")
-    if family == "path":
-        return construct_path(n, kind)
-    if family == "cycle":
-        return construct_cycle(n)
-    if family == "star":
-        return construct_star(n, kind)
-    if family == "wheel":
-        return construct_wheel(n)
-    if family == "tadpole":
-        if t is None:
-            raise ParameterError("tadpole requires the path length t")
-        return construct_tadpole(n, t, kind)
-    if family == "friendship":
-        return construct_friendship(n)
-    return construct_butterfly(n, kind)
+def construct_path(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
+    return construct("path", n, kind)
+
+
+def construct_cycle(n: int) -> tuple[Digraph, TotalLabeling]:
+    """A single labeling that is arc-antimagic with weights n+1..2n and
+    vertex-antimagic with weights 1..n at the same time."""
+    return construct("cycle", n, "sa-sv-al")
+
+
+def construct_star(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
+    return construct("star", n, kind)
+
+
+def construct_wheel(n: int) -> tuple[Digraph, TotalLabeling]:
+    return construct("wheel", n, "sval")
+
+
+def construct_tadpole(n: int, t: int, kind: str) -> tuple[Digraph, TotalLabeling]:
+    return construct("tadpole", n, kind, t=t)
+
+
+def construct_friendship(n: int) -> tuple[Digraph, TotalLabeling]:
+    return construct("friendship", n, "sa-al")
+
+
+def construct_butterfly(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
+    return construct("butterfly", n, kind)
 
 
 def graceful_to_strong_saml(edges, phi) -> tuple[Digraph, TotalLabeling]:

@@ -138,25 +138,18 @@ def validate_labeling(g: Digraph, l: TotalLabeling):
 
 def arc_weight(g: Digraph, l: TotalLabeling, index: int) -> int:
     """Subtractive weight of one arc: label(arc) + label(head) - label(tail)."""
-    validate_labeling(g, l)
+    profile = weight_profile(g, l)  # validates l before the index check
     if not 0 <= index < g.arc_count:
         raise IndexError(f"arc index {index} out of range for {g.arc_count} arcs")
-    t, h = g.arcs[index]
-    return l.arc_labels[index] + l.vertex_labels[h] - l.vertex_labels[t]
+    return profile.arc_weights[index]
 
 
 def vertex_weight(g: Digraph, l: TotalLabeling, vertex: int) -> int:
     """Subtractive weight of one vertex: own label + incoming - outgoing arc labels."""
-    validate_labeling(g, l)
+    profile = weight_profile(g, l)  # validates l before the index check
     if not 0 <= vertex < g.vertex_count:
         raise IndexError(f"vertex index {vertex} out of range for {g.vertex_count} vertices")
-    w = l.vertex_labels[vertex]
-    for i, (t, h) in enumerate(g.arcs):
-        if h == vertex:
-            w += l.arc_labels[i]
-        if t == vertex:
-            w -= l.arc_labels[i]
-    return w
+    return profile.vertex_weights[vertex]
 
 
 def weight_profile(g: Digraph, l: TotalLabeling) -> WeightProfile:

@@ -715,14 +715,3 @@ def _report(query: SearchQuery, results: list, started: float) -> SearchReport:
         nodes_visited=nodes,
         elapsed=time.perf_counter() - started,
     )
-
-
-def verify_iff_cycles(n: int, *, cap: int = DEFAULT_CAP) -> bool:
-    """Check on the dicycle with n vertices that arc-magic and vertex-magic
-    labelings exist together or not at all (both counts via full search)."""
-    from .digraph import build_family
-
-    g = build_family("cycle", n)
-    arc_report = search(SearchQuery(g, Target("arc", "magic")), cap=cap)
-    vertex_report = search(SearchQuery(g, Target("vertex", "magic")), cap=cap)
-    return (arc_report.solutions_found > 0) == (vertex_report.solutions_found > 0)

@@ -236,6 +236,80 @@ def test_export_non_integer_family_n_exits_2(capsys, tmp_path, n):
     assert code == 2 and "integers" in err and out == ""
 
 
+def assert_one_line_failure(code, stdout, err):
+    assert code == 2 and stdout == ""
+    assert err.startswith("sublabel: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{missing}"],
+    ["export", "{missing}", "--format", "dot"],
+    ["search", "--input", "{missing}", "--class", "saml"],
+])
+def test_missing_input_file_exits_2(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.json")
+    code, stdout, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert_one_line_failure(code, stdout, err)
+    assert "missing.json" in err
+
+
+def test_verify_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": 1, "notes": ["caf\xe9"]}')
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert_one_line_failure(code, stdout, err)
+    assert "utf-8" in err
+
+
+def test_construct_out_into_missing_directory_exits_2(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "c3.json"
+    code, stdout, err = run(capsys, "construct", "--family", "cycle", "--n", "3",
+                            "--labeling", "sa-sv-al", "--out", str(out))
+    assert_one_line_failure(code, stdout, err)
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("extra,option", [
+    (["--n", "9"], "--n"),
+    (["--t", "4"], "--t"),
+    (["--orientation", "in"], "--orientation"),
+])
+def test_search_input_rejects_graph_options(capsys, tmp_path, extra, option):
+    path = tmp_path / "g.json"
+    run(capsys, "construct", "--family", "path", "--n", "2",
+        "--labeling", "saml", "--out", str(path))
+    code, stdout, err = run(capsys, "search", "--input", str(path),
+                            "--class", "saml", *extra)
+    assert_one_line_failure(code, stdout, err)
+    assert option in err and "--input" in err
+
+
+def test_construct_unknown_kind_message_matches_the_library(capsys):
+    from sublabel import ParameterError, construct
+    with pytest.raises(ParameterError) as exc:
+        construct("star", 3, "svml")
+    code, stdout, err = run(capsys, "construct", "--family", "star", "--n", "3",
+                            "--labeling", "svml")
+    assert_one_line_failure(code, stdout, err)
+    assert err == f"sublabel: {exc.value}\n"
+
+
+def test_console_entry_missing_file_exits_2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from sublabel.cli import entry; entry()",
+         "verify", str(tmp_path / "missing.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert_one_line_failure(proc.returncode, proc.stdout, proc.stderr)
+
+
 def all_construction_instances():
     for n in range(2, 51):
         for kind in ("saml", "sa-al", "sv-al"):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from sublabel import (GracefulInputError, ParameterError, TotalLabeling,
-                      Verdict, build_family, classify, construct,
+from sublabel import (CONSTRUCTION_KINDS, GracefulInputError, ParameterError,
+                      TotalLabeling, Verdict, build_family, classify, construct,
                       construct_butterfly, construct_cycle,
                       construct_friendship, construct_path, construct_star,
                       construct_tadpole, construct_wheel, dual,
                       graceful_to_strong_saml, validate_labeling,
                       weight_profile)
+from sublabel.digraph import FAMILIES
 from sublabel.labeling import BijectionError
 
 
@@ -247,6 +248,11 @@ def test_construct_dispatcher_matches_direct_calls():
         construct("cycle", 4, "saml")
     with pytest.raises(ParameterError):
         construct("tadpole", 3, "saal")  # t missing
+
+
+def test_every_family_has_constructions():
+    # construct() looks up the kinds once build_family has accepted the family
+    assert set(CONSTRUCTION_KINDS) == set(FAMILIES)
 
 
 @pytest.mark.parametrize("family,kind", [("path", "saml"), ("cycle", "sa-sv-al")])
