@@ -17,7 +17,7 @@ from .constructions import CONSTRUCTION_KINDS, construct
 from .digraph import build_family
 from .document import LabelingDocument, from_json, to_dot
 from .labeling import classify, weight_profile
-from .search import DEFAULT_CAP, ENV_CAP_VAR, SearchQuery, Target, search
+from .search import DEFAULT_CAP, SearchQuery, Target, search
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
 
@@ -38,10 +38,15 @@ _PATH_CORRECTION_NOTE = (
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    stdin = path is None or path == "-"
+    try:
+        if stdin:
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{'<stdin>' if stdin else path} is not valid utf-8: "
+                         f"{exc.reason} at byte {exc.start}") from None
 
 
 def _write_output(text: str, path: str | None):
@@ -71,10 +76,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _verdict_line(side: str, verdict) -> str:
-    return f"{side} side: {verdict}"
-
-
 def _cmd_verify(args) -> int:
     doc = from_json(_read_input(args.input))
     if doc.labeling is None:
@@ -89,8 +90,8 @@ def _cmd_verify(args) -> int:
         print(f"graph: {tag.name}{params}, {g.vertex_count} vertices, {g.arc_count} arcs")
     else:
         print(f"graph: {g.vertex_count} vertices, {g.arc_count} arcs")
-    print(_verdict_line("arc", cls.arc_verdict))
-    print(_verdict_line("vertex", cls.vertex_verdict))
+    print(f"arc side: {cls.arc_verdict}")
+    print(f"vertex side: {cls.vertex_verdict}")
     print(f"strong: {'yes' if cls.strong else 'no'}   strong*: {'yes' if cls.strong_star else 'no'}")
     print("arc weights: " + " ".join(
         f"{g.arc_name(i)}={w}" for i, w in enumerate(profile.arc_weights)))
@@ -113,18 +114,6 @@ def _cmd_verify(args) -> int:
     return 1 if sides_none and all(sides_none) else 0
 
 
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(ENV_CAP_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_CAP_VAR} must be an integer, got {env!r}")
-    return DEFAULT_CAP
-
-
 def _cmd_search(args) -> int:
     if (args.family is None) == (args.input is None):
         return _fail("give exactly one of --family or --input")
@@ -145,8 +134,7 @@ def _cmd_search(args) -> int:
                         require_strong=args.strong,
                         require_strong_star=args.strong_star,
                         mode=args.mode, limit=args.limit)
-    cap = _resolve_cap(args)
-    report = search(query, cap=cap, workers=args.workers)
+    report = search(query, cap=args.cap, workers=args.workers)
     name = graph.family.name if graph.family else f"{graph.vertex_count}-vertex graph"
     print(f"search: {name}, target {side} {kind}, mode {args.mode}")
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}   "
@@ -200,10 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", default="count-all",
                    choices=("count-all", "first-witness", "collect-up-to"))
     s.add_argument("--limit", type=int, default=None, help="witness bound for collect-up-to")
-    s.add_argument("--cap", type=int, default=None,
-                   help=f"search size cap (default {DEFAULT_CAP}, or ${ENV_CAP_VAR})")
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help=f"most labels a graph may have to be searched (default {DEFAULT_CAP})")
     s.add_argument("--workers", type=int, default=1,
-                   help="processes to split the top-level branches over (at least 1)")
+                   help="processes to split the top-level branches of a count-all search "
+                        "over (at least 1); the witness modes run in one process")
     s.set_defaults(func=_cmd_search)
 
     e = sub.add_parser("export", help="render a document as DOT or JSON")
@@ -222,8 +211,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         raise  # entry() turns a closed stdout into exit 141
     except (ValueError, OSError) as exc:
-        # every library input error is a ValueError (UnicodeDecodeError
-        # included); OSError is an input or output file that cannot be opened
+        # every library input error is a ValueError; OSError is an input or
+        # output file that cannot be opened
         return _fail(str(exc))
 
 

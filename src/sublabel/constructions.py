@@ -26,7 +26,7 @@ rejects it, and a regression test keeps it rejected.
 
 from __future__ import annotations
 
-from .digraph import Digraph, ParameterError, build_family
+from .digraph import Digraph, ParameterError, build_family, int_tuple
 from .labeling import TotalLabeling, validate_labeling
 
 
@@ -209,7 +209,7 @@ def graceful_to_strong_saml(edges, phi) -> tuple[Digraph, TotalLabeling]:
         raise GracefulInputError("tree must have at least one vertex")
     if sorted(phi) != list(range(1, n + 1)):
         raise GracefulInputError(f"phi is not a bijection onto 1..{n}")
-    edges = [(int(x), int(y)) for x, y in edges]
+    edges = [int_tuple(e, "tree edge endpoints") for e in edges]
     if len(edges) != n - 1:
         raise GracefulInputError(f"a tree on {n} vertices has {n - 1} edges, got {len(edges)}")
     adjacent = [[] for _ in range(n)]

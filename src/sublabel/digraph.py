@@ -31,6 +31,20 @@ class ParameterError(ValueError):
     """A family parameter is outside its supported range."""
 
 
+class NotIntegerError(ValueError):
+    """A vertex count, arc endpoint or label is not an int."""
+
+
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, checked to hold ints only; a bool is refused,
+    though Python counts it as an int."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise NotIntegerError(f"{what} must be integers, got {values!r}")
+    return values
+
+
 FAMILIES = ("path", "cycle", "star", "wheel", "tadpole", "friendship", "butterfly")
 
 
@@ -68,7 +82,9 @@ class Digraph:
     family: FamilyTag | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in self.arcs))
+        if type(self.vertex_count) is not int:
+            raise NotIntegerError(f"vertex_count must be an integer, got {self.vertex_count!r}")
+        object.__setattr__(self, "arcs", tuple(int_tuple(a, "arc endpoints") for a in self.arcs))
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         seen = set()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, int_tuple
 
 
 class BijectionError(ValueError):
@@ -37,8 +37,8 @@ class TotalLabeling:
     arc_labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", tuple(int(x) for x in self.vertex_labels))
-        object.__setattr__(self, "arc_labels", tuple(int(x) for x in self.arc_labels))
+        object.__setattr__(self, "vertex_labels", int_tuple(self.vertex_labels, "vertex labels"))
+        object.__setattr__(self, "arc_labels", int_tuple(self.arc_labels, "arc labels"))
 
     @property
     def label_count(self) -> int:
@@ -110,9 +110,10 @@ class Classification:
 class MuBound:
     """Bounds on the arc-magic constant from the longest directed circuit.
 
-    With s the longest circuit length and N the label range size, any
-    arc-magic constant mu satisfies (s+1)/2 <= mu <= (2N-s+1)/2.  The
-    bounds are kept as exact rationals.
+    With s >= 2 the longest circuit length and N the label range size, any
+    arc-magic constant mu satisfies (s+1)/2 <= mu <= (2N-s+1)/2: around a
+    circuit the vertex labels cancel, so s * mu is the sum of s distinct
+    arc labels.  The bounds are kept as exact rationals.
     """
 
     s: int
@@ -231,7 +232,9 @@ def longest_circuit(g: Digraph) -> int:
 
 
 def mu_bounds(g: Digraph) -> MuBound:
-    """Exact bounds any arc-magic constant of g must satisfy."""
+    """Exact bounds any arc-magic constant of g must satisfy; g needs a circuit."""
     s = longest_circuit(g)
+    if not s:
+        raise ValueError("the arc-magic bounds need a directed circuit, and the graph has none")
     n = g.label_count
     return MuBound(s, Fraction(s + 1, 2), Fraction(2 * n - s + 1, 2))

@@ -91,7 +91,6 @@ from .digraph import Digraph
 from .labeling import TotalLabeling, Verdict, classify
 
 DEFAULT_CAP = 12
-ENV_CAP_VAR = "SUBLABEL_SEARCH_CAP"
 
 TARGET_SIDES = ("arc", "vertex")
 TARGET_KINDS = ("magic", "antimagic", "arithmetic")
@@ -170,9 +169,7 @@ class SearchReport:
 
     `exhaustive` is true iff the whole space was covered; count-all runs
     are always exhaustive, witness-bounded runs stop early once the bound
-    is reached.  With more than one worker the top-level branches are
-    searched independently, so in early-stopping modes nodes_visited may
-    differ from the single-worker run; counts and witness lists never do.
+    is reached.  Every field but `elapsed` is the same at any worker count.
     """
 
     query: SearchQuery
@@ -665,11 +662,14 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     class.
 
     Refuses graphs with more than `cap` labels (default 12); pass a larger
-    cap to override.  `workers` > 1 splits the top-level branches over a
-    process pool; results are aggregated in canonical order, so counts and
-    witness lists are identical to the single-worker run.  `pruned=False`
-    runs the reference enumerator instead, a permutation filter over
-    `classify`; it always runs in this process, whatever `workers` is.
+    cap to override.  `workers` > 1 splits the top-level branches of a
+    count-all search over a process pool and merges them in canonical
+    order, so the report, node count included, is the single-worker one.
+    A query with a witness bound (first-witness, collect-up-to) runs one
+    kernel in this process whatever `workers` is, so it stops at its bound
+    exactly where a single worker does.  `pruned=False` runs the reference
+    enumerator instead, a permutation filter over `classify`; it too runs
+    in this process, whatever `workers` is.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -681,7 +681,7 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     started = time.perf_counter()
     if not pruned:
         results = [_reference(query)]
-    elif workers == 1 or n == 0:
+    elif workers == 1 or query.witness_cap or n == 0:
         results = [_Kernel(query).run()]
     else:
         # imported here: the costliest import of the package, and only the pool uses it
@@ -695,23 +695,11 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
 
 def _report(query: SearchQuery, results: list, started: float) -> SearchReport:
     """Merge the run() results of the branches, in canonical order."""
-    total = sum(r[0] for r in results)
-    witnesses = [w for r in results for w in r[1]]
-    nodes = sum(r[2] for r in results)
-    completed = all(r[3] for r in results)
-    wcap = query.witness_cap
-    if wcap and total >= wcap:
-        solutions = wcap
-        witnesses = witnesses[:wcap]
-        exhaustive = False
-    else:
-        solutions = total
-        exhaustive = completed
     return SearchReport(
         query=query,
-        exhaustive=exhaustive,
-        solutions_found=solutions,
-        witnesses=witnesses,
-        nodes_visited=nodes,
+        exhaustive=all(r[3] for r in results),
+        solutions_found=sum(r[0] for r in results),
+        witnesses=[w for r in results for w in r[1]],
+        nodes_visited=sum(r[2] for r in results),
         elapsed=time.perf_counter() - started,
     )

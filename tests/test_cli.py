@@ -170,25 +170,6 @@ def test_search_cap_flag_override(capsys):
     assert code == 1
 
 
-def test_search_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SUBLABEL_SEARCH_CAP", "5")
-    code, _, err = run(capsys, "search", "--family", "cycle", "--n", "3",
-                       "--class", "saml")
-    assert code == 2 and "cap of 5" in err
-    # the flag wins over the environment
-    code, _, _ = run(capsys, "search", "--family", "cycle", "--n", "3",
-                     "--class", "saml", "--cap", "12")
-    assert code == 1
-
-
-def test_search_env_cap_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SUBLABEL_SEARCH_CAP", "twelve")
-    code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3",
-                            "--class", "saml")
-    assert code == 2 and stdout == ""
-    assert "SUBLABEL_SEARCH_CAP must be an integer" in err
-
-
 def test_search_from_document_input(capsys, tmp_path):
     path = tmp_path / "g.json"
     run(capsys, "construct", "--family", "path", "--n", "2",
@@ -260,6 +241,15 @@ def test_verify_non_utf8_file_exits_2(capsys, tmp_path):
     code, stdout, err = run(capsys, "verify", str(path))
     assert_one_line_failure(code, stdout, err)
     assert "utf-8" in err
+    assert str(path) in err
+
+
+def test_verify_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, stdout, err = run(capsys, "verify")
+    assert_one_line_failure(code, stdout, err)
+    assert "<stdin> is not valid utf-8" in err
 
 
 def test_construct_out_into_missing_directory_exits_2(capsys, tmp_path):

@@ -9,7 +9,7 @@ from sublabel import (CONSTRUCTION_KINDS, GracefulInputError, ParameterError,
                       construct_tadpole, construct_wheel, dual,
                       graceful_to_strong_saml, validate_labeling,
                       weight_profile)
-from sublabel.digraph import FAMILIES
+from sublabel.digraph import FAMILIES, NotIntegerError
 from sublabel.labeling import BijectionError
 
 
@@ -306,6 +306,16 @@ def test_graceful_star_conversion():
 ])
 def test_graceful_conversion_rejects_bad_input(edges, phi, hint):
     with pytest.raises(GracefulInputError, match=hint):
+        graceful_to_strong_saml(edges, phi)
+
+
+@pytest.mark.parametrize("edges,phi", [
+    ([(0, 1.0), (1, 2)], (1, 3, 2)),
+    ([(0, True), (1, 2)], (1, 3, 2)),
+    ([(0, 1), (1, 2)], (1, 3, 2.0)),
+])
+def test_graceful_conversion_rejects_non_integers(edges, phi):
+    with pytest.raises(NotIntegerError, match="must be integers"):
         graceful_to_strong_saml(edges, phi)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from sublabel import Digraph, ParameterError, build_family
+from sublabel.digraph import NotIntegerError
 
 ARC_COUNTS = {
     "path": lambda n, t: n - 1,
@@ -141,3 +142,16 @@ def test_digraph_rejects_self_loop_and_duplicates():
         Digraph(2, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="outside"):
         Digraph(2, ((0, 2),))
+
+
+@pytest.mark.parametrize("vertex_count,arcs", [
+    (3, ((0, 1.9), (1, 2))),
+    (3, ((0, True), (1, 2))),
+    (3, (("0", 1),)),
+    (True, ()),
+    (3.0, ()),
+])
+def test_digraph_rejects_non_integers(vertex_count, arcs):
+    # a float is not truncated and a bool is not read as 0 or 1
+    with pytest.raises(NotIntegerError, match="integer"):
+        Digraph(vertex_count, arcs)

@@ -9,6 +9,7 @@ from sublabel import (BijectionError, Digraph, TotalLabeling, Verdict,
                       arc_weight, build_family, classify, dual,
                       longest_circuit, mu_bounds, verdict_of, vertex_weight,
                       weight_profile)
+from sublabel.digraph import NotIntegerError
 
 CYCLE3 = build_family("cycle", 3)
 CYCLE3_L = TotalLabeling((1, 2, 3), (5, 4, 6))
@@ -32,6 +33,18 @@ def sample_graphs():
         build_family("friendship", 3),
         build_family("butterfly", 4),
     ]
+
+
+@pytest.mark.parametrize("vertex_labels,arc_labels", [
+    ((1.5, 2, 3.7), (4, 5)),
+    ((1, 2, 3), (4.0, 5)),
+    ((True, 2, 3), (4, 5)),
+    ((1, 2, 3), (4, "5")),
+])
+def test_labeling_rejects_non_integers(vertex_labels, arc_labels):
+    # a float is not truncated and a bool is not read as 0 or 1
+    with pytest.raises(NotIntegerError, match="labels must be integers"):
+        TotalLabeling(vertex_labels, arc_labels)
 
 
 def test_arc_weight_examples():
@@ -193,7 +206,7 @@ def test_mu_bounds_cycle_general():
 
 
 def test_mu_bounds_acyclic():
-    b = mu_bounds(build_family("path", 4))
-    assert b.s == 0
-    assert b.lower == Fraction(1, 2)
-    assert b.upper == Fraction(2 * 7 + 1, 2)
+    # path(2) has arc-magic labelings with mu 0, 2 and 4: without a
+    # circuit nothing bounds mu
+    with pytest.raises(ValueError, match="circuit"):
+        mu_bounds(build_family("path", 4))

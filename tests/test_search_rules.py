@@ -16,13 +16,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sublabel import Digraph, SearchQuery, Target, build_family, search
+from sublabel import (Digraph, SearchQuery, Target, build_family, classify,
+                      longest_circuit, mu_bounds, search)
 from sublabel.search import _Kernel, _report
 
 MAX_LABELS = 8
@@ -50,13 +52,17 @@ def targets(draw):
 
 
 def split_in_process(q):
-    """What search(q, workers=2) returns, with the branches run here."""
+    """What search(q, workers=2) returns, with the branches run here: one
+    kernel for a query with a witness bound, else one per first label."""
+    if q.witness_cap or not q.graph.label_count:
+        return _report(q, [_Kernel(q).run()], 0.0)
     results = [_Kernel(q).run(first_label=lab) for lab in _Kernel(q).first_labels()]
     return _report(q, results, 0.0)
 
 
 def examples(*cases):
-    """@example for each (graph, target): every witness, through a real pool."""
+    """@example for each (graph, target): every witness, and the count-all
+    form through a real pool."""
     def wrap(test):
         for graph, target in cases:
             test = example(graph=graph, target=target, strong=False, strong_star=False,
@@ -100,15 +106,36 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, 
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
     reference = search(q, pruned=False)
-    two = search(q, workers=2) if pool else split_in_process(q)
-    for workers, pruned in ((1, search(q)), (2, two)):
+    two_workers = (lambda query: search(query, workers=2)) if pool else split_in_process
+    for pruned in (search(q), two_workers(q)):
         assert pruned.solutions_found == reference.solutions_found
         assert pruned.witnesses == reference.witnesses
         assert pruned.exhaustive == reference.exhaustive
-        # branches run to their own witness bound, so only a single worker
-        # or an exhaustive run is bounded by the reference's node count
-        if workers == 1 or reference.exhaustive:
-            assert pruned.nodes_visited <= reference.nodes_visited
+        assert pruned.nodes_visited <= reference.nodes_visited
+    # only a count-all search is split over the first labels
+    count_all = replace(q, mode="count-all", limit=None)
+    one, split = search(count_all), two_workers(count_all)
+    assert (split.solutions_found, split.nodes_visited, split.exhaustive) == \
+        (one.solutions_found, one.nodes_visited, True)
+    if reference.exhaustive:
+        assert split.solutions_found == reference.solutions_found
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_digraphs())
+@example(graph=Digraph(2, ((0, 1),)))
+@example(graph=Digraph(3, ((0, 1), (1, 0), (2, 0))))
+def test_arc_magic_witnesses_obey_mu_bounds(graph):
+    # the bounds come from a circuit: an acyclic digraph has none
+    if not longest_circuit(graph):
+        with pytest.raises(ValueError, match="circuit"):
+            mu_bounds(graph)
+        return
+    bounds = mu_bounds(graph)
+    report = search(SearchQuery(graph, Target("arc", "magic"),
+                                mode="collect-up-to", limit=10 ** 9))
+    for w in report.witnesses:
+        assert bounds.contains(classify(graph, w).arc_verdict.mu)
 
 
 @pytest.mark.parametrize("family,n,kw,side,kind,nodes,solutions", [
@@ -160,6 +187,19 @@ def test_reference_count_all_visits_every_prefix(family, n, nodes):
                     pruned=False)
     assert report.nodes_visited == nodes
     assert report.exhaustive
+
+
+@pytest.mark.parametrize("query,nodes", [
+    (SearchQuery(build_family("tadpole", 3, t=3), Target("arc", "magic"),
+                 mode="first-witness"), 14608),
+    (SearchQuery(build_family("path", 5, orientation="forward"), Target("arc", "arithmetic"),
+                 mode="collect-up-to", limit=100), 631),
+], ids=["tadpole-3-3-saml-first-witness", "path-5-forward-sa-al-collect-100"])
+def test_witness_modes_report_the_same_at_two_workers(query, nodes):
+    one, two = search(query).to_dict(), search(query, workers=2).to_dict()
+    del one["elapsed"], two["elapsed"]
+    assert two == one
+    assert one["nodes_visited"] == nodes
 
 
 def test_count_all_nodes_are_the_same_at_two_workers():
