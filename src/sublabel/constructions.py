@@ -207,6 +207,8 @@ def graceful_to_strong_saml(edges, phi) -> tuple[Digraph, TotalLabeling]:
     n = len(phi)
     if n < 1:
         raise GracefulInputError("tree must have at least one vertex")
+    if any(type(x) is not int for x in phi):
+        raise GracefulInputError(f"phi must hold integers, got {tuple(phi)!r}")
     if sorted(phi) != list(range(1, n + 1)):
         raise GracefulInputError(f"phi is not a bijection onto 1..{n}")
     edges = [int_tuple(e, "tree edge endpoints") for e in edges]

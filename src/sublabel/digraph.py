@@ -129,6 +129,57 @@ class Digraph:
         t, h = self.arcs[i]
         return f"({t}->{h})"
 
+    def automorphism_base(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The base b_1, b_2, .. of the automorphism group, each with its
+        basic orbit, as (b_i, orbit) pairs; the order of the group is the
+        product of the orbit lengths.
+
+        b_i is the least vertex that the pointwise stabiliser of
+        b_1..b_(i-1) moves.  That stabiliser therefore fixes every vertex
+        below b_i, and b_i's orbit under it holds b_i and later vertices
+        only.  A vertex w is in the orbit when a backtracking search finds
+        one automorphism that fixes 0..b_i - 1 and maps b_i to w; the group
+        itself is never listed.
+        """
+        n = self.vertex_count
+        arcs = set(self.arcs)
+        degree = list(zip(self.in_degrees(), self.out_degrees()))
+        image = list(range(n))
+        taken = [False] * n
+
+        def fits(x: int, y: int) -> bool:
+            """x -> y keeps x's in/out degrees, and its arcs and non-arcs to
+            the vertices 0..x-1 mapped so far."""
+            return degree[x] == degree[y] and all(
+                ((u, x) in arcs) == ((image[u], y) in arcs)
+                and ((x, u) in arcs) == ((y, image[u]) in arcs) for u in range(x))
+
+        def extend(x: int) -> bool:
+            """Map x, x+1, .. onto the vertices not taken yet."""
+            if x == n:
+                return True
+            for y in range(n):
+                if not taken[y] and fits(x, y):
+                    image[x], taken[y] = y, True
+                    if extend(x + 1):
+                        return True
+                    taken[y] = False
+            return False
+
+        base = []
+        for v in range(n):
+            orbit = [v]
+            for w in range(v + 1, n):
+                if fits(v, w):
+                    taken[:] = [u < v or u == w for u in range(n)]
+                    image[v] = w
+                    if extend(v + 1):
+                        orbit.append(w)
+            image[v] = v  # the stabilisers further down the chain fix v
+            if len(orbit) > 1:
+                base.append((v, tuple(orbit)))
+        return tuple(base)
+
 
 def _require(cond: bool, message: str):
     if not cond:

@@ -52,6 +52,24 @@ Two enumerators produce the same results:
   terms of one k-term progression, and is counted without its weights
   being rebuilt or classified.
 
+  A count-all search also cuts the symmetry of the graph.  An
+  automorphism maps vertex labels to vertex labels and arc labels to arc
+  labels and keeps the multiset of weights on each side, so it keeps the
+  target class, pinned a and d included, and both strong flags.  A
+  non-identity automorphism of a simple digraph moves some vertex, and
+  vertex labels are distinct, so the group acts freely on labelings and
+  each orbit holds |Aut| of them.  With the base b_1, b_2, .. and the
+  basic orbits of `Digraph.automorphism_base`, exactly one labeling per
+  orbit has vl[b_i] below the label of every other vertex of b_i's basic
+  orbit, for every i:
+
+  6. symmetry cut: a vertex slot in the basic orbit of b_i offers only
+     labels above vl[b_i], which is placed already, as b_i comes first in
+     its orbit.  The count of these canonical labelings is multiplied by
+     |Aut|.  First-witness and collect-up-to searches report the
+     lex-first witnesses, which need not be canonical, so they walk every
+     labeling.
+
   How far each endpoint's weight can still move, and which vertex weights
   an arc settles, depend only on the arc order, so they are tabled once
   per kernel.  The vertex phase and the arc-side loops count a node only
@@ -62,21 +80,27 @@ Two enumerators produce the same results:
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
 
-Pruning never changes the solution set, only the number of visited
-nodes; the test suite checks both enumerators against each other.
+Pruning never changes the solution count or the witness list, only the
+number of visited nodes; the test suite checks both enumerators against
+each other.
 
 The search space is N!, so the entry point refuses graphs beyond a cap
 (default 12) unless the caller overrides it.  The cost depends on the
-target far more than on N.  Measured single-threaded on a 2-core x86-64
-host with Python 3.11: the count-all arc-magic search of the 7-cycle
-(N = 14) visits 545,164 nodes in about 2 s, cycle(6) vertex-magic
-(N = 12) 797,702 nodes in about 1.5 s.  Unpinned arithmetic targets cost
-about as much once rules 4 and 5 apply: cycle(5) vertex-arithmetic (N = 10)
-visits 625,146 nodes and friendship(2) arc-arithmetic (N = 11) 438,695,
-about 2 s each, against 9.3M nodes in about 35 s and 69.4M in about 4
-minutes without them.  Antimagic targets count every solution as a leaf:
-star(4, in) vertex-antimagic (N = 9, 203,616 solutions) visits 863,481
-nodes in about 1 s.
+target and on the symmetry of the graph far more than on N.  Measured
+single-threaded on a 2-core x86-64 host with Python 3.11: the count-all
+arc-magic search of the 7-cycle (N = 14) visits 107,554 nodes in about
+0.3 s, cycle(6) vertex-magic (N = 12) 126,363 nodes in about 0.2 s and
+cycle(7) vertex-magic (N = 14) 2,711,247 nodes in about 3 s.  Unpinned
+arithmetic targets cost about as much once rules 4 and 5 apply:
+cycle(5) vertex-arithmetic (N = 10) visits 127,623 nodes in about 0.25 s
+and friendship(2) arc-arithmetic (N = 11) 219,903 in about 0.6 s,
+against 9.3M nodes in about 35 s and 69.4M in about 4 minutes without
+rules 4, 5 and 6.  Antimagic targets count every canonical solution as a
+leaf: star(4, in) vertex-antimagic (N = 9, 203,616 solutions, 24
+automorphisms) visits 35,907 nodes in about 0.05 s.  Rule 6 alone took
+cycle(6) vertex-magic from 797,702 nodes to 126,363, cycle(7)
+vertex-magic from 20.7M (about 33 s) to 2.7M and star(4, in)
+vertex-antimagic from 863,481 to 35,907.
 """
 
 from __future__ import annotations
@@ -169,7 +193,10 @@ class SearchReport:
 
     `exhaustive` is true iff the whole space was covered; count-all runs
     are always exhaustive, witness-bounded runs stop early once the bound
-    is reached.  Every field but `elapsed` is the same at any worker count.
+    is reached.  `automorphisms` is the order of the graph's automorphism
+    group that a pruned count-all search multiplied its canonical count by,
+    and 1 for every other search.  Every field but `elapsed` is the same at
+    any worker count.
     """
 
     query: SearchQuery
@@ -177,6 +204,7 @@ class SearchReport:
     solutions_found: int
     witnesses: list[TotalLabeling]
     nodes_visited: int
+    automorphisms: int
     elapsed: float
 
     def to_dict(self) -> dict:
@@ -207,6 +235,7 @@ class SearchReport:
                 for w in self.witnesses
             ],
             "nodes_visited": self.nodes_visited,
+            "automorphisms": self.automorphisms,
             "elapsed": self.elapsed,
         }
 
@@ -225,7 +254,7 @@ class _Kernel:
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
                  "v_lo", "v_hi", "a_lo", "a_hi", "completes", "residue",
                  "base_used", "spread", "coef", "closes", "reach",
-                 "v_reach", "isolated",
+                 "v_reach", "isolated", "above", "automorphisms",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "bmin", "bmax", "seen", "pw")
 
@@ -251,6 +280,16 @@ class _Kernel:
         self.v_lo, self.v_hi = v_lo, v_hi
         self.a_lo, self.a_hi = a_lo, a_hi
         t = query.target
+        # rule 6, count-all only: above[s] lists the base points whose
+        # basic orbit holds vertex s; each must get a smaller label than s
+        above = [[] for _ in range(self.V)]
+        self.automorphisms = 1
+        if not query.witness_cap:
+            for b, orbit in g.automorphism_base():
+                self.automorphisms *= len(orbit)
+                for s in orbit[1:]:
+                    above[s].append(b)
+        self.above = [tuple(a) for a in above]
         # the arc weights sum to total - sum(coef[v] * vl[v])
         self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
         # vertex-phase rules for magic targets.  completes[s] lists, as
@@ -318,7 +357,8 @@ class _Kernel:
         """Explore the tree (or the branch under first_label).
 
         Returns (count, witnesses, nodes, completed) where completed is
-        False iff the run stopped early at its witness bound.
+        False iff the run stopped early at its witness bound.  count is the
+        number of canonical labelings times the automorphism group order.
         """
         self.count = 0
         self.nodes = 0
@@ -333,20 +373,24 @@ class _Kernel:
             self._vertex_slot(0, first_label)
         elif self.target.kind == "magic":
             self._leaf()  # the empty labeling: no weights, vacuously magic
-        return self.count, self.wits, self.nodes, not self.stopped
+        return self.count * self.automorphisms, self.wits, self.nodes, not self.stopped
 
     # -- vertex phase -------------------------------------------------
 
     def _slot_labels(self, s: int):
         """Labels vertex slot s may take, before the used and base checks.
 
-        Arc-magic: the bases of the arcs completed here stay within
+        Rule 6: above the label of each base point whose basic orbit holds
+        s.  Arc-magic: the bases of the arcs completed here stay within
         a_hi - a_lo of the bases placed so far only for labels in one
         interval.  Last slot of a magic target: the residue leaves one
         label class modulo m / gcd(coef[s], m).
         """
         lo, hi = self.v_lo, self.v_hi
         vl = self.vl
+        for b in self.above[s]:
+            if vl[b] >= lo:
+                lo = vl[b] + 1
         if self.bmin <= self.bmax:
             blo, bhi = self.bmax - self.spread, self.bmin + self.spread
             for other, sign in self.completes[s]:
@@ -662,9 +706,12 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     class.
 
     Refuses graphs with more than `cap` labels (default 12); pass a larger
-    cap to override.  `workers` > 1 splits the top-level branches of a
-    count-all search over a process pool and merges them in canonical
-    order, so the report, node count included, is the single-worker one.
+    cap to override.  A pruned count-all search counts one labeling per
+    orbit of the graph's automorphism group and reports the group order,
+    the factor of its count, as `automorphisms`.  `workers` > 1 splits
+    the top-level branches of a count-all search over a process pool and
+    merges them in canonical order, so the report, node count included,
+    is the single-worker one.
     A query with a witness bound (first-witness, collect-up-to) runs one
     kernel in this process whatever `workers` is, so it stops at its bound
     exactly where a single worker does.  `pruned=False` runs the reference
@@ -680,26 +727,30 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
             f"raise the cap to force the search")
     started = time.perf_counter()
     if not pruned:
-        results = [_reference(query)]
-    elif workers == 1 or query.witness_cap or n == 0:
-        results = [_Kernel(query).run()]
+        return _report(query, [_reference(query)], 1, started)
+    kernel = _Kernel(query)
+    if workers == 1 or query.witness_cap or n == 0:
+        results = [kernel.run()]
     else:
         # imported here: the costliest import of the package, and only the pool uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(query, lab) for lab in _Kernel(query).first_labels()]
+        payloads = [(query, lab) for lab in kernel.first_labels()]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_task, payloads))
-    return _report(query, results, started)
+    return _report(query, results, kernel.automorphisms, started)
 
 
-def _report(query: SearchQuery, results: list, started: float) -> SearchReport:
-    """Merge the run() results of the branches, in canonical order."""
+def _report(query: SearchQuery, results: list, automorphisms: int,
+            started: float) -> SearchReport:
+    """Merge the run() results of the branches, in canonical order; each
+    count is already multiplied by `automorphisms`."""
     return SearchReport(
         query=query,
         exhaustive=all(r[3] for r in results),
         solutions_found=sum(r[0] for r in results),
         witnesses=[w for r in results for w in r[1]],
         nodes_visited=sum(r[2] for r in results),
+        automorphisms=automorphisms,
         elapsed=time.perf_counter() - started,
     )

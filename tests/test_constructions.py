@@ -313,9 +313,16 @@ def test_graceful_conversion_rejects_bad_input(edges, phi, hint):
     ([(0, 1.0), (1, 2)], (1, 3, 2)),
     ([(0, True), (1, 2)], (1, 3, 2)),
     ([(0, 1), (1, 2)], (1, 3, 2.0)),
+    ([(0, 1), (1, 2)], (True, 3, 2)),
 ])
 def test_graceful_conversion_rejects_non_integers(edges, phi):
-    with pytest.raises(NotIntegerError, match="must be integers"):
+    # phi is checked first, by the conversion itself; an edge endpoint by
+    # int_tuple
+    if all(type(x) is int for x in phi):
+        error, hint = NotIntegerError, "edge endpoints must be integers"
+    else:
+        error, hint = GracefulInputError, r"^phi must hold integers"
+    with pytest.raises(error, match=hint):
         graceful_to_strong_saml(edges, phi)
 
 

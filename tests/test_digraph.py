@@ -1,4 +1,9 @@
+from itertools import permutations
+from math import factorial, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublabel import Digraph, ParameterError, build_family
 from sublabel.digraph import NotIntegerError
@@ -155,3 +160,59 @@ def test_digraph_rejects_non_integers(vertex_count, arcs):
     # a float is not truncated and a bool is not read as 0 or 1
     with pytest.raises(NotIntegerError, match="integer"):
         Digraph(vertex_count, arcs)
+
+
+def group_order(graph):
+    return prod(len(orbit) for _, orbit in graph.automorphism_base())
+
+
+@pytest.mark.parametrize("family,n,kw,order", [
+    ("cycle", 3, {}, 3),
+    ("cycle", 7, {}, 7),
+    ("star", 1, {}, 1),
+    ("star", 5, {}, factorial(5)),
+    ("star", 4, {"orientation": "in"}, factorial(4)),
+    ("wheel", 3, {}, 3),
+    ("wheel", 6, {}, 6),
+    ("friendship", 1, {}, 3),  # one triangle: the 3-cycle
+    ("friendship", 4, {}, factorial(4)),
+    ("butterfly", 3, {}, 2),
+    ("butterfly", 5, {}, 2),
+    ("path", 6, {"orientation": "forward"}, 1),
+    ("path", 2, {"orientation": "alternating"}, 1),
+    ("path", 3, {"orientation": "alternating"}, 2),
+    ("path", 6, {"orientation": "alternating"}, 1),
+    ("path", 7, {"orientation": "alternating"}, 2),
+    ("tadpole", 3, {"t": 3}, 1),
+    ("tadpole", 4, {"t": 1}, 1),
+])
+def test_automorphism_group_order_per_family(family, n, kw, order):
+    assert group_order(build_family(family, n, **kw)) == order
+
+
+def test_automorphism_base_is_a_stabiliser_chain():
+    # the base point is the least vertex its stabiliser moves; the orbits
+    # shrink along the chain and hold later vertices only
+    assert build_family("star", 4).automorphism_base() == \
+        ((1, (1, 2, 3, 4)), (2, (2, 3, 4)), (3, (3, 4)))
+    assert build_family("friendship", 3).automorphism_base() == ((1, (1, 3, 5)), (3, (3, 5)))
+    assert build_family("cycle", 5).automorphism_base() == ((0, (0, 1, 2, 3, 4)),)
+    assert build_family("wheel", 4).automorphism_base() == ((1, (1, 2, 3, 4)),)
+    assert build_family("butterfly", 4).automorphism_base() == ((0, (0, 3)),)
+    assert Digraph(0, ()).automorphism_base() == ()
+
+
+@st.composite
+def digraphs_up_to_5_vertices(draw):
+    v = draw(st.integers(0, 5))
+    pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
+    return Digraph(v, tuple(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=digraphs_up_to_5_vertices())
+def test_automorphism_group_order_matches_brute_force(graph):
+    arcs = set(graph.arcs)
+    brute = sum(1 for p in permutations(range(graph.vertex_count))
+                if {(p[t], p[h]) for t, h in arcs} == arcs)
+    assert group_order(graph) == brute

@@ -54,10 +54,11 @@ def targets(draw):
 def split_in_process(q):
     """What search(q, workers=2) returns, with the branches run here: one
     kernel for a query with a witness bound, else one per first label."""
+    kernel = _Kernel(q)
     if q.witness_cap or not q.graph.label_count:
-        return _report(q, [_Kernel(q).run()], 0.0)
-    results = [_Kernel(q).run(first_label=lab) for lab in _Kernel(q).first_labels()]
-    return _report(q, results, 0.0)
+        return _report(q, [kernel.run()], kernel.automorphisms, 0.0)
+    results = [_Kernel(q).run(first_label=lab) for lab in kernel.first_labels()]
+    return _report(q, results, kernel.automorphisms, 0.0)
 
 
 def examples(*cases):
@@ -140,14 +141,16 @@ def test_arc_magic_witnesses_obey_mu_bounds(graph):
 
 @pytest.mark.parametrize("family,n,kw,side,kind,nodes,solutions", [
     ("tadpole", 3, {"t": 3}, "arc", "magic", 42176, 4),
-    ("star", 5, {"orientation": "out"}, "arc", "magic", 274711, 11520),
-    ("star", 3, {}, "vertex", "magic", 477, 0),
-    ("cycle", 4, {}, "vertex", "arithmetic", 29380, 816),
-    ("cycle", 4, {}, "arc", "antimagic", 94428, 30912),
+    ("star", 5, {"orientation": "out"}, "arc", "magic", 5872, 11520),
+    ("star", 3, {}, "vertex", "magic", 190, 0),
+    ("cycle", 4, {}, "vertex", "arithmetic", 7511, 816),
+    ("cycle", 4, {}, "arc", "antimagic", 23494, 30912),
     ("path", 5, {"orientation": "forward"}, "arc", "arithmetic", 58179, 5048),
-    pytest.param("cycle", 5, {}, "vertex", ("arithmetic", 1, 1), 44600, 720,
-                 id="cycle-5-kw6-vertex-arithmetic-a1-d1-44600-720"),
+    pytest.param("cycle", 5, {}, "vertex", ("arithmetic", 1, 1), 9392, 720,
+                 id="cycle-5-kw6-vertex-arithmetic-a1-d1-9392-720"),
     ("tadpole", 3, {"t": 2}, "vertex", "magic", 40786, 13),
+    ("cycle", 6, {}, "vertex", "magic", 126363, 0),
+    ("path", 5, {"orientation": "alternating"}, "arc", "magic", 4436, 96),
 ])
 def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
     target = Target(side, *kind) if isinstance(kind, tuple) else Target(side, kind)
@@ -155,9 +158,9 @@ def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
     assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
 
 
-def every_witness(graph, target):
+def every_witness(graph, target, **flags):
     """(solutions, digest of the witness list) of a collect-all search."""
-    report = search(SearchQuery(graph, target, mode="collect-up-to", limit=10 ** 9))
+    report = search(SearchQuery(graph, target, mode="collect-up-to", limit=10 ** 9, **flags))
     text = json.dumps([[list(w.vertex_labels), list(w.arc_labels)] for w in report.witnesses],
                       separators=(",", ":"))
     return report.solutions_found, hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -166,8 +169,10 @@ def every_witness(graph, target):
 def test_unpinned_progressions_are_all_found():
     # cycle(5) vertex-arithmetic with neither a nor d given: every sum of
     # the vertex labels leaves its own candidate progressions
-    assert every_witness(build_family("cycle", 5), Target("vertex", "arithmetic")) == \
-        (9620, "a0bde215a07766cf")
+    graph, target = build_family("cycle", 5), Target("vertex", "arithmetic")
+    assert every_witness(graph, target) == (9620, "a0bde215a07766cf")
+    # count-all counts one labeling per rotation and multiplies by 5
+    assert search(SearchQuery(graph, target)).solutions_found == 9620
 
 
 def test_vertex_magic_witnesses_are_all_found():
@@ -175,6 +180,41 @@ def test_vertex_magic_witnesses_are_all_found():
     # in canonical order
     assert every_witness(build_family("tadpole", 3, t=2), Target("vertex", "magic")) == \
         (13, "33df102b92d9a23b")
+
+
+@pytest.mark.parametrize("graph,target,flags,solutions", [
+    (build_family("star", 4, orientation="in"), Target("vertex", "antimagic"), {}, 203616),
+    (build_family("friendship", 2), Target("vertex", "magic"),
+     {"require_strong_star": True}, 20),
+], ids=["star-4-in-sval", "friendship-2-svml-strong-star"])
+def test_count_all_equals_the_plain_enumeration_on_symmetric_graphs(graph, target, flags,
+                                                                     solutions):
+    # count-all counts one labeling per automorphism orbit and multiplies
+    # by the group order; collect-up-to walks every labeling
+    count_all = search(SearchQuery(graph, target, **flags))
+    assert count_all.automorphisms > 1
+    assert count_all.solutions_found == every_witness(graph, target, **flags)[0] == solutions
+
+
+@pytest.mark.parametrize("query,automorphisms", [
+    (SearchQuery(build_family("cycle", 6), Target("vertex", "magic")), 6),
+    (SearchQuery(build_family("star", 5, orientation="out"), Target("arc", "magic")), 120),
+    (SearchQuery(build_family("tadpole", 3, t=3), Target("arc", "magic")), 1),
+    (SearchQuery(build_family("star", 5, orientation="out"), Target("arc", "magic"),
+                 mode="first-witness"), 1),
+], ids=["cycle-6-svml", "star-5-out-saml", "tadpole-3-3-saml", "star-5-out-saml-first-witness"])
+def test_report_shows_the_automorphism_factor(query, automorphisms):
+    one, two = search(query), search(query, workers=2)
+    assert one.automorphisms == two.automorphisms == automorphisms
+    assert one.to_dict()["automorphisms"] == automorphisms
+    assert one.solutions_found == two.solutions_found
+
+
+def test_reference_reports_no_automorphism_factor():
+    q = SearchQuery(build_family("star", 3), Target("vertex", "antimagic"))
+    reference = search(q, pruned=False)
+    assert reference.automorphisms == 1
+    assert reference.solutions_found == search(q).solutions_found
 
 
 @pytest.mark.parametrize("family,n,nodes", [
