@@ -17,7 +17,7 @@ from .constructions import CONSTRUCTION_KINDS, construct
 from .digraph import build_family
 from .document import LabelingDocument, from_json, to_dot
 from .labeling import classify, weight_profile
-from .search import DEFAULT_CAP, SearchQuery, Target, search
+from .search import DEFAULT_CAP, SEARCH_MODES, SearchQuery, Target, search
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
 
@@ -185,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", type=int, default=None, help="weight difference, for sa-al/sv-al")
     s.add_argument("--strong", action="store_true")
     s.add_argument("--strong-star", action="store_true")
-    s.add_argument("--mode", default="count-all",
-                   choices=("count-all", "first-witness", "collect-up-to"))
+    s.add_argument("--mode", default="count-all", choices=SEARCH_MODES)
     s.add_argument("--limit", type=int, default=None, help="witness bound for collect-up-to")
     s.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help=f"most labels a graph may have to be searched (default {DEFAULT_CAP})")

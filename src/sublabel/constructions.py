@@ -34,28 +34,6 @@ class GracefulInputError(ValueError):
     """The tree/labeling pair handed to the graceful conversion is invalid."""
 
 
-CONSTRUCTION_KINDS: dict[str, tuple[str, ...]] = {
-    "path": ("saml", "sa-al", "sv-al"),
-    "cycle": ("sa-sv-al",),
-    "star": ("saml", "sa-al", "sval"),
-    "wheel": ("sval",),
-    "tadpole": ("saal", "sv-al"),
-    "friendship": ("sa-al",),
-    "butterfly": ("sa-al", "sval"),
-}
-
-# the orientation each path and star construction is defined on; the other
-# families have a single orientation
-KIND_ORIENTATION: dict[tuple[str, str], str] = {
-    ("path", "saml"): "alternating",
-    ("path", "sa-al"): "forward",
-    ("path", "sv-al"): "forward",
-    ("star", "saml"): "out",
-    ("star", "sa-al"): "in",
-    ("star", "sval"): "in",
-}
-
-
 def _path_labels(n: int, t: int | None, kind: str):
     if kind == "saml":
         vl = [(i + 1) // 2 if i % 2 == 1 else n + 1 - i // 2 for i in range(1, n + 1)]
@@ -135,29 +113,34 @@ def _butterfly_labels(n: int, t: int | None, kind: str):
     return v + u + [x], a + b
 
 
-# (vertex labels, arc labels) of each family's constructions, in the
-# storage order of build_family
-_LABELS = {
-    "path": _path_labels,
-    "cycle": _cycle_labels,
-    "star": _star_labels,
-    "wheel": _wheel_labels,
-    "tadpole": _tadpole_labels,
-    "friendship": _friendship_labels,
-    "butterfly": _butterfly_labels,
+# family -> (its label formula, {kind: the orientation the construction is
+# defined on}); the formula gives (vertex labels, arc labels) in the storage
+# order of build_family, and a family with a single orientation maps every
+# kind to None
+_CONSTRUCTIONS = {
+    "path": (_path_labels, {"saml": "alternating", "sa-al": "forward", "sv-al": "forward"}),
+    "cycle": (_cycle_labels, {"sa-sv-al": None}),
+    "star": (_star_labels, {"saml": "out", "sa-al": "in", "sval": "in"}),
+    "wheel": (_wheel_labels, {"sval": None}),
+    "tadpole": (_tadpole_labels, {"saal": None, "sv-al": None}),
+    "friendship": (_friendship_labels, {"sa-al": None}),
+    "butterfly": (_butterfly_labels, {"sa-al": None, "sval": None}),
 }
+
+CONSTRUCTION_KINDS: dict[str, tuple[str, ...]] = {
+    family: tuple(kinds) for family, (_, kinds) in _CONSTRUCTIONS.items()}
 
 
 def construct(family: str, n: int, kind: str, t: int | None = None) -> tuple[Digraph, TotalLabeling]:
     """The known `kind` labeling of a family graph.  build_family checks the
     family, n and t (which tadpoles need and the other families reject);
     this checks that the family has a `kind` construction."""
-    g = build_family(family, n, t=t, orientation=KIND_ORIENTATION.get((family, kind)))
-    kinds = CONSTRUCTION_KINDS[family]
+    labels, kinds = _CONSTRUCTIONS.get(family, (None, {}))  # build_family names a bad family
+    g = build_family(family, n, t=t, orientation=kinds.get(kind))
     if kind not in kinds:
         raise ParameterError(
             f"no {kind!r} construction for {family}; valid kinds: {', '.join(kinds)}")
-    vl, al = _LABELS[family](n, t, kind)
+    vl, al = labels(n, t, kind)
     l = TotalLabeling(tuple(vl), tuple(al))
     validate_labeling(g, l)
     return g, l

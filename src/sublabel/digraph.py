@@ -39,13 +39,10 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     """values as a tuple, checked to hold ints only; a bool is refused,
     though Python counts it as an int."""
     values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise NotIntegerError(f"{what} must be integers, got {values!r}")
+    if not set(map(type, values)) <= {int}:  # the index is sought only on failure
+        i = next(i for i, x in enumerate(values) if type(x) is not int)
+        raise NotIntegerError(f"{what} must be integers, got {values[i]!r} at index {i}")
     return values
-
-
-FAMILIES = ("path", "cycle", "star", "wheel", "tadpole", "friendship", "butterfly")
 
 
 @dataclass(frozen=True)
@@ -82,20 +79,25 @@ class Digraph:
     family: FamilyTag | None = None
 
     def __post_init__(self):
-        if type(self.vertex_count) is not int:
-            raise NotIntegerError(f"vertex_count must be an integer, got {self.vertex_count!r}")
-        object.__setattr__(self, "arcs", tuple(int_tuple(a, "arc endpoints") for a in self.arcs))
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if type(n) is not int:
+            raise NotIntegerError(f"vertex_count must be an integer, got {n!r}")
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
+        arcs = tuple(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
         seen = set()
-        for t, h in self.arcs:
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                raise ValueError(f"arc ({t},{h}) references a vertex outside 0..{self.vertex_count - 1}")
+        for arc in arcs:
+            t, h = arc
+            if type(t) is not int or type(h) is not int:
+                raise NotIntegerError(f"arc endpoints must be integers, got {arc!r}")
+            if not (0 <= t < n and 0 <= h < n):
+                raise ValueError(f"arc ({t},{h}) references a vertex outside 0..{n - 1}")
             if t == h:
                 raise ValueError(f"self-loop at vertex {t}")
-            if (t, h) in seen:
+            if arc in seen:
                 raise ValueError(f"duplicate arc ({t},{h})")
-            seen.add((t, h))
+            seen.add(arc)
 
     @property
     def arc_count(self) -> int:
@@ -186,73 +188,55 @@ def _require(cond: bool, message: str):
         raise ParameterError(message)
 
 
-def _path(n: int, orientation: str) -> Digraph:
-    _require(n >= 2, f"path requires n >= 2, got n={n}")
-    _require(orientation in ("forward", "alternating"),
-             f"path orientation must be 'forward' or 'alternating', got {orientation!r}")
+# Each generator returns the vertex names, the arcs and the arc names of
+# one family member; build_family has checked n, t and the orientation.
+
+def _path(n: int, t: None, orientation: str):
     arcs = []
     for i in range(1, n):  # 1-based arc index i joins v_i and v_{i+1}
         if orientation == "alternating" and i % 2 == 1:
             arcs.append((i, i - 1))
         else:
             arcs.append((i - 1, i))
-    tag = FamilyTag("path", n, orientation=orientation,
-                    vertex_names=tuple(f"v_{i}" for i in range(1, n + 1)),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n)))
-    return Digraph(n, tuple(arcs), tag)
+    return (tuple(f"v_{i}" for i in range(1, n + 1)), arcs,
+            tuple(f"a_{i}" for i in range(1, n)))
 
 
-def _cycle(n: int) -> Digraph:
-    _require(n >= 3, f"cycle requires n >= 3, got n={n}")
+def _cycle(n: int, t: None, orientation: None):
     arcs = [(i - 1, i) for i in range(1, n)] + [(n - 1, 0)]
-    tag = FamilyTag("cycle", n,
-                    vertex_names=tuple(f"v_{i}" for i in range(1, n + 1)),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n + 1)))
-    return Digraph(n, tuple(arcs), tag)
+    return (tuple(f"v_{i}" for i in range(1, n + 1)), arcs,
+            tuple(f"a_{i}" for i in range(1, n + 1)))
 
 
-def _star(n: int, orientation: str) -> Digraph:
-    _require(n >= 1, f"star requires n >= 1, got n={n}")
-    _require(orientation in ("out", "in"),
-             f"star orientation must be 'out' or 'in', got {orientation!r}")
+def _star(n: int, t: None, orientation: str):
     if orientation == "out":
         arcs = [(0, i) for i in range(1, n + 1)]
     else:
         arcs = [(i, 0) for i in range(1, n + 1)]
-    tag = FamilyTag("star", n, orientation=orientation,
-                    vertex_names=tuple(f"v_{i}" for i in range(n + 1)),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n + 1)))
-    return Digraph(n + 1, tuple(arcs), tag)
+    return (tuple(f"v_{i}" for i in range(n + 1)), arcs,
+            tuple(f"a_{i}" for i in range(1, n + 1)))
 
 
-def _wheel(n: int) -> Digraph:
-    _require(n >= 3, f"wheel requires n >= 3, got n={n}")
+def _wheel(n: int, t: None, orientation: None):
     spokes = [(i, 0) for i in range(1, n + 1)]
     rim = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    tag = FamilyTag("wheel", n,
-                    vertex_names=tuple(f"v_{i}" for i in range(n + 1)),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n + 1))
-                    + tuple(f"b_{i}" for i in range(1, n + 1)))
-    return Digraph(n + 1, tuple(spokes + rim), tag)
+    return (tuple(f"v_{i}" for i in range(n + 1)), spokes + rim,
+            tuple(f"a_{i}" for i in range(1, n + 1))
+            + tuple(f"b_{i}" for i in range(1, n + 1)))
 
 
-def _tadpole(n: int, t: int) -> Digraph:
-    _require(n >= 3, f"tadpole requires n >= 3, got n={n}")
-    _require(t >= 1, f"tadpole requires t >= 1, got t={t}")
+def _tadpole(n: int, t: int, orientation: None):
     # cycle vertices 0..n-1 are v_1..v_n, path vertices n..n+t-1 are u_1..u_t
     arcs = [(i - 1, i) for i in range(1, n)] + [(n - 1, 0)]
     arcs += [(n + i - 1, n + i) for i in range(1, t)]
     arcs += [(n + t - 1, 0)]
-    tag = FamilyTag("tadpole", n, t=t,
-                    vertex_names=tuple(f"v_{i}" for i in range(1, n + 1))
-                    + tuple(f"u_{i}" for i in range(1, t + 1)),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n + 1))
-                    + tuple(f"b_{i}" for i in range(1, t)) + ("c",))
-    return Digraph(n + t, tuple(arcs), tag)
+    return (tuple(f"v_{i}" for i in range(1, n + 1))
+            + tuple(f"u_{i}" for i in range(1, t + 1)), arcs,
+            tuple(f"a_{i}" for i in range(1, n + 1))
+            + tuple(f"b_{i}" for i in range(1, t)) + ("c",))
 
 
-def _friendship(n: int) -> Digraph:
-    _require(n >= 1, f"friendship requires n >= 1, got n={n}")
+def _friendship(n: int, t: None, orientation: None):
     # x is vertex 0; triangle i uses vertices 2i-1 (v_i1) and 2i (v_i2)
     arcs = []
     vnames = ["x"]
@@ -262,26 +246,33 @@ def _friendship(n: int) -> Digraph:
         arcs += [(0, a), (a, b), (b, 0)]
         vnames += [f"v_{i}1", f"v_{i}2"]
         anames += [f"a_{i}0", f"a_{i}1", f"a_{i}2"]
-    tag = FamilyTag("friendship", n,
-                    vertex_names=tuple(vnames), arc_names=tuple(anames))
-    return Digraph(2 * n + 1, tuple(arcs), tag)
+    return tuple(vnames), arcs, tuple(anames)
 
 
-def _butterfly(n: int) -> Digraph:
-    _require(n >= 3, f"butterfly requires n >= 3, got n={n}")
+def _butterfly(n: int, t: None, orientation: None):
     # v_1..v_{n-1} -> 0..n-2, u_1..u_{n-1} -> n-1..2n-3, x = v_n = u_n -> 2n-2
     x = 2 * n - 2
     a = [(i - 1, i) for i in range(1, n - 1)] + [(n - 2, x), (x, 0)]
     b = [(n - 2 + i, n - 1 + i) for i in range(1, n - 1)] + [(2 * n - 3, x), (x, n - 1)]
-    tag = FamilyTag("butterfly", n,
-                    vertex_names=tuple(f"v_{i}" for i in range(1, n))
-                    + tuple(f"u_{i}" for i in range(1, n)) + ("x",),
-                    arc_names=tuple(f"a_{i}" for i in range(1, n + 1))
-                    + tuple(f"b_{i}" for i in range(1, n + 1)))
-    return Digraph(2 * n - 1, tuple(a + b), tag)
+    return (tuple(f"v_{i}" for i in range(1, n))
+            + tuple(f"u_{i}" for i in range(1, n)) + ("x",), a + b,
+            tuple(f"a_{i}" for i in range(1, n + 1))
+            + tuple(f"b_{i}" for i in range(1, n + 1)))
 
 
-DEFAULT_ORIENTATION = {"path": "forward", "star": "out"}
+# family -> (generator, least n, whether it takes t, its orientations with
+# the default first; none for a family with a single orientation)
+_FAMILY_TABLE = {
+    "path": (_path, 2, False, ("forward", "alternating")),
+    "cycle": (_cycle, 3, False, ()),
+    "star": (_star, 1, False, ("out", "in")),
+    "wheel": (_wheel, 3, False, ()),
+    "tadpole": (_tadpole, 3, True, ()),
+    "friendship": (_friendship, 1, False, ()),
+    "butterfly": (_butterfly, 3, False, ()),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def build_family(family: str, n: int, t: int | None = None,
@@ -291,27 +282,27 @@ def build_family(family: str, n: int, t: int | None = None,
     `t` is required for (and only for) tadpoles.  `orientation` selects the
     variant for paths (forward/alternating) and stars (out/in); the other
     families have a single canonical orientation and reject the argument.
+    `n` and `t` must be ints; a bool is refused.
     """
     _require(family in FAMILIES, f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    if family == "tadpole":
-        _require(t is not None, "tadpole requires the path length t")
+    generate, least_n, takes_t, orientations = _FAMILY_TABLE[family]
+    if takes_t:
+        _require(t is not None, f"{family} requires the path length t")
     else:
         _require(t is None, f"parameter t is only meaningful for tadpoles, not {family}")
-    if family in DEFAULT_ORIENTATION:
-        orientation = orientation or DEFAULT_ORIENTATION[family]
-    else:
+    if not orientations:
         _require(orientation is None,
                  f"{family} has a single canonical orientation; do not pass orientation")
-    if family == "path":
-        return _path(n, orientation)
-    if family == "cycle":
-        return _cycle(n)
-    if family == "star":
-        return _star(n, orientation)
-    if family == "wheel":
-        return _wheel(n)
-    if family == "tadpole":
-        return _tadpole(n, t)
-    if family == "friendship":
-        return _friendship(n)
-    return _butterfly(n)
+    elif orientation is None:
+        orientation = orientations[0]
+    for name, value in (("n", n), ("t", t)):
+        _require(value is None or type(value) is int,
+                 f"{family} parameters must be integers, got {name}={value!r}")
+    _require(n >= least_n, f"{family} requires n >= {least_n}, got n={n}")
+    _require(t is None or t >= 1, f"{family} requires t >= 1, got t={t}")
+    _require(not orientations or orientation in orientations,
+             f"{family} orientation must be {' or '.join(map(repr, orientations))}, "
+             f"got {orientation!r}")
+    vertex_names, arcs, arc_names = generate(n, t, orientation)
+    tag = FamilyTag(family, n, t, orientation, vertex_names, arc_names)
+    return Digraph(len(vertex_names), arcs, tag)

@@ -73,27 +73,24 @@ def from_dict(d: dict) -> LabelingDocument:
             raise DocumentError(f"bad arc entry {a!r}; expected [tail, head]")
         parsed_arcs.append((a[0], a[1]))
 
-    family = None
     fd = d.get("family")
     if fd is not None:
         if not isinstance(fd, dict) or "name" not in fd or "n" not in fd:
             raise DocumentError("family block needs at least name and n")
-        t = fd.get("t")
-        if type(fd["n"]) is not int or (t is not None and type(t) is not int):
-            raise DocumentError("family n and t must be integers")
         try:
-            rebuilt = build_family(fd["name"], fd["n"], t=t,
-                                   orientation=fd.get("orientation"))
+            graph = build_family(fd["name"], fd["n"], t=fd.get("t"),
+                                 orientation=fd.get("orientation"))
         except ParameterError as exc:
             raise DocumentError(f"bad family block: {exc}") from exc
-        if rebuilt.vertex_count != d["vertex_count"] or list(rebuilt.arcs) != parsed_arcs:
+        # once it matches them, the graph build_family checked stands for
+        # the stored arcs, and they are not checked a second time
+        if graph.vertex_count != d["vertex_count"] or list(graph.arcs) != parsed_arcs:
             raise DocumentError("family block does not match the stored arcs")
-        family = rebuilt.family
-
-    try:
-        graph = Digraph(d["vertex_count"], tuple(parsed_arcs), family)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    else:
+        try:
+            graph = Digraph(d["vertex_count"], tuple(parsed_arcs))
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
 
     has_v = "vertex_labels" in d and d["vertex_labels"] is not None
     has_a = "arc_labels" in d and d["arc_labels"] is not None

@@ -86,21 +86,9 @@ each other.
 
 The search space is N!, so the entry point refuses graphs beyond a cap
 (default 12) unless the caller overrides it.  The cost depends on the
-target and on the symmetry of the graph far more than on N.  Measured
-single-threaded on a 2-core x86-64 host with Python 3.11: the count-all
-arc-magic search of the 7-cycle (N = 14) visits 107,554 nodes in about
-0.3 s, cycle(6) vertex-magic (N = 12) 126,363 nodes in about 0.2 s and
-cycle(7) vertex-magic (N = 14) 2,711,247 nodes in about 3 s.  Unpinned
-arithmetic targets cost about as much once rules 4 and 5 apply:
-cycle(5) vertex-arithmetic (N = 10) visits 127,623 nodes in about 0.25 s
-and friendship(2) arc-arithmetic (N = 11) 219,903 in about 0.6 s,
-against 9.3M nodes in about 35 s and 69.4M in about 4 minutes without
-rules 4, 5 and 6.  Antimagic targets count every canonical solution as a
-leaf: star(4, in) vertex-antimagic (N = 9, 203,616 solutions, 24
-automorphisms) visits 35,907 nodes in about 0.05 s.  Rule 6 alone took
-cycle(6) vertex-magic from 797,702 nodes to 126,363, cycle(7)
-vertex-magic from 20.7M (about 33 s) to 2.7M and star(4, in)
-vertex-antimagic from 863,481 to 35,907.
+target and on the symmetry of the graph far more than on N.  The README
+quotes measured node counts and times for magic, arithmetic and
+antimagic targets, and CI checks each of its node counts.
 """
 
 from __future__ import annotations
@@ -116,12 +104,21 @@ from .labeling import TotalLabeling, Verdict, classify
 
 DEFAULT_CAP = 12
 
+SEARCH_MODES = ("count-all", "first-witness", "collect-up-to")
+
 TARGET_SIDES = ("arc", "vertex")
 TARGET_KINDS = ("magic", "antimagic", "arithmetic")
 
 
 class SearchCapError(ValueError):
     """The graph is too large for exhaustive search under the current cap."""
+
+
+def _require_int(value, name: str):
+    """Refuse a search parameter that is not an int; a bool is refused,
+    though Python counts it as an int."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +143,9 @@ class Target:
             raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {self.kind!r}")
         if self.kind != "arithmetic" and (self.a is not None or self.d is not None):
             raise ValueError(f"a and d apply to arithmetic targets only, not to {self.kind}")
+        for name, value in (("a", self.a), ("d", self.d)):
+            if value is not None:
+                _require_int(value, name)
         if self.d is not None and self.d < 1:
             raise ValueError(f"the weight difference d must be at least 1, got {self.d}")
 
@@ -166,12 +166,14 @@ class SearchQuery:
     target: Target
     require_strong: bool = False
     require_strong_star: bool = False
-    mode: str = "count-all"  # or "first-witness" / "collect-up-to"
+    mode: str = "count-all"  # one of SEARCH_MODES
     limit: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("count-all", "first-witness", "collect-up-to"):
+        if self.mode not in SEARCH_MODES:
             raise ValueError(f"unknown search mode {self.mode!r}")
+        if self.limit is not None:
+            _require_int(self.limit, "limit")
         if self.mode == "collect-up-to" and (self.limit is None or self.limit < 1):
             raise ValueError("collect-up-to mode needs a positive limit")
         if self.mode != "collect-up-to" and self.limit is not None:
@@ -718,6 +720,8 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     enumerator instead, a permutation filter over `classify`; it too runs
     in this process, whatever `workers` is.
     """
+    _require_int(workers, "workers")
+    _require_int(cap, "cap")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     n = query.graph.label_count

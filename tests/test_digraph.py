@@ -135,6 +135,13 @@ def test_bad_orientation_named():
         build_family("path", 3, orientation="sideways")
 
 
+@pytest.mark.parametrize("family", ["path", "star"])
+def test_empty_orientation_is_not_the_default(family):
+    # only a missing orientation selects the default
+    with pytest.raises(ParameterError, match="got ''"):
+        build_family(family, 3, orientation="")
+
+
 def test_unknown_family():
     with pytest.raises(ParameterError, match="family"):
         build_family("torus", 3)

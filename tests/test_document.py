@@ -2,9 +2,9 @@
 
 import pytest
 
-from sublabel import (Digraph, DocumentError, LabelingDocument, TotalLabeling,
-                      build_family, construct_cycle, construct_tadpole,
-                      from_dict, from_json, to_dot)
+from sublabel import (Digraph, DocumentError, LabelingDocument, ParameterError,
+                      TotalLabeling, build_family, construct, construct_cycle,
+                      construct_tadpole, from_dict, from_json, to_dot)
 
 
 def docs():
@@ -113,6 +113,37 @@ def test_valid_integer_document_is_accepted():
 def test_non_integers_are_rejected(changes):
     with pytest.raises(DocumentError, match="integer|format_version|arc entry"):
         from_dict({**VALID, **changes})
+
+
+# build_family owns the n and t checks: a bool is not read as 0 or 1 and a
+# float or a string is not compared with the least n
+@pytest.mark.parametrize("family,kind,n,t", [
+    ("star", "saml", True, None),
+    ("path", "sa-al", 2.5, None),
+    ("cycle", "sa-sv-al", "3", None),
+    ("tadpole", "saal", 3, True),
+    ("tadpole", "saal", 3, 1.0),
+    ("tadpole", "saal", 3.0, 1),
+    ("tadpole", "sv-al", 3, "1"),
+])
+def test_non_integer_family_parameters_are_refused(family, kind, n, t):
+    with pytest.raises(ParameterError, match="integers"):
+        build_family(family, n, t=t)
+    with pytest.raises(ParameterError, match="integers"):
+        construct(family, n, kind, t=t)
+    g = build_family(family, 3, t=None if t is None else 1)
+    block = {"name": family, "n": n, **({} if t is None else {"t": t})}
+    with pytest.raises(DocumentError, match="integer"):
+        from_dict({**LabelingDocument(g).to_dict(), "family": block})
+
+
+def test_family_document_builds_one_digraph(monkeypatch):
+    built = []
+    check = Digraph.__post_init__
+    monkeypatch.setattr(Digraph, "__post_init__", lambda g: built.append(check(g)))
+    text = LabelingDocument(*construct_tadpole(3, 2, "saal")).to_json()
+    built.clear()
+    assert from_json(text).graph.family.t == 2 and len(built) == 1
 
 
 def test_family_block_restores_names():

@@ -47,6 +47,13 @@ def test_labeling_rejects_non_integers(vertex_labels, arc_labels):
         TotalLabeling(vertex_labels, arc_labels)
 
 
+def test_non_integer_label_error_names_the_value_not_the_labels():
+    labels = tuple(range(1, 10 ** 5)) + (1.5,)
+    with pytest.raises(NotIntegerError) as info:
+        TotalLabeling(labels, ())
+    assert "1.5 at index 99999" in str(info.value) and len(str(info.value)) < 200
+
+
 def test_arc_weight_examples():
     assert arc_weight(CYCLE3, CYCLE3_L, 0) == 5 + 2 - 1
     # a single arc can have weight zero: label(tail) = label(head) + label(arc)

@@ -258,6 +258,10 @@ def test_count_all_nodes_are_the_same_at_two_workers():
     ("magic", {"a": 5}),
     ("magic", {"d": 1}),
     ("antimagic", {"a": 1, "d": 1}),
+    ("arithmetic", {"d": 1.5}),
+    ("arithmetic", {"d": True}),
+    ("arithmetic", {"a": 2.5}),
+    ("arithmetic", {"a": "1"}),
 ])
 def test_target_rejects_misplaced_or_invalid_parameters(kind, kw):
     with pytest.raises(ValueError):
@@ -273,9 +277,22 @@ def test_query_rejects_a_limit_outside_collect_up_to(mode):
 
 def test_search_rejects_fewer_than_one_worker():
     q = SearchQuery(build_family("path", 2), Target("arc", "magic"))
-    for workers in (0, -3):
+    for workers in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="workers"):
             search(q, workers=workers)
+
+
+# on path(3) a float limit collected 3 witnesses and a bool cap passed as 1
+@pytest.mark.parametrize("name,call", [
+    ("limit", lambda q: SearchQuery(q.graph, q.target, mode="collect-up-to", limit=2.5)),
+    ("limit", lambda q: SearchQuery(q.graph, q.target, mode="collect-up-to", limit=True)),
+    ("cap", lambda q: search(q, cap=12.0)),
+    ("cap", lambda q: search(q, cap=True)),
+])
+def test_search_parameters_refuse_non_integers(name, call):
+    q = SearchQuery(build_family("path", 3), Target("arc", "arithmetic"))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(q)
 
 
 def test_import_leaves_the_process_pool_out():
