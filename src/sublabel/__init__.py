@@ -11,9 +11,6 @@ from .labeling import (BijectionError, Classification, MuBound, TotalLabeling,
                        longest_circuit, mu_bounds, validate_labeling,
                        verdict_of, vertex_weight, weight_profile)
 from .constructions import (CONSTRUCTION_KINDS, GracefulInputError, construct,
-                            construct_butterfly, construct_cycle,
-                            construct_friendship, construct_path,
-                            construct_star, construct_tadpole, construct_wheel,
                             graceful_to_strong_saml)
 from .search import (DEFAULT_CAP, SearchCapError, SearchQuery, SearchReport,
                      Target, search)
@@ -28,8 +25,6 @@ __all__ = [
     "mu_bounds", "validate_labeling", "verdict_of", "vertex_weight",
     "weight_profile",
     "CONSTRUCTION_KINDS", "GracefulInputError", "construct",
-    "construct_butterfly", "construct_cycle", "construct_friendship",
-    "construct_path", "construct_star", "construct_tadpole", "construct_wheel",
     "graceful_to_strong_saml",
     "DEFAULT_CAP", "SearchCapError", "SearchQuery", "SearchReport", "Target",
     "search",

@@ -106,12 +106,7 @@ def _cmd_verify(args) -> int:
         },
         notes=doc.notes)
     print(enriched.to_json(), end="")
-    sides_none = []
-    if g.arc_count:
-        sides_none.append(cls.arc_verdict.kind == "none")
-    if g.vertex_count:
-        sides_none.append(cls.vertex_verdict.kind == "none")
-    return 1 if sides_none and all(sides_none) else 0
+    return 1 if cls.arc_verdict.kind == cls.vertex_verdict.kind == "none" else 0
 
 
 def _cmd_search(args) -> int:

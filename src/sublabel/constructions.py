@@ -1,7 +1,6 @@
-"""Explicit labelings for the graph families, one constructor per result.
-
-Each constructor returns (digraph, labeling) where the labeling lands in a
-known weight class:
+"""Explicit labelings for the graph families.  Each result is one row of
+_CONSTRUCTIONS, built by construct(family, n, kind) as (digraph, labeling),
+where the labeling lands in a known weight class:
 
 * path:       saml  -> alternating orientation, arc-magic with mu = n
               sa-al -> forward, arc weights n+2 .. 2n (difference 1)
@@ -26,7 +25,7 @@ rejects it, and a regression test keeps it rejected.
 
 from __future__ import annotations
 
-from .digraph import Digraph, ParameterError, build_family, int_tuple
+from .digraph import FAMILIES, Digraph, ParameterError, build_family, int_tuple
 from .labeling import TotalLabeling, validate_labeling
 
 
@@ -135,45 +134,17 @@ def construct(family: str, n: int, kind: str, t: int | None = None) -> tuple[Dig
     """The known `kind` labeling of a family graph.  build_family checks the
     family, n and t (which tadpoles need and the other families reject);
     this checks that the family has a `kind` construction."""
-    labels, kinds = _CONSTRUCTIONS.get(family, (None, {}))  # build_family names a bad family
-    g = build_family(family, n, t=t, orientation=kinds.get(kind))
-    if kind not in kinds:
+    # `in` a tuple needs no hash, so a list family or kind is refused as unknown
+    labels, kinds = _CONSTRUCTIONS[family] if family in FAMILIES else (None, {})
+    known = kind in tuple(kinds)
+    g = build_family(family, n, t=t, orientation=kinds[kind] if known else None)
+    if not known:
         raise ParameterError(
             f"no {kind!r} construction for {family}; valid kinds: {', '.join(kinds)}")
     vl, al = labels(n, t, kind)
     l = TotalLabeling(tuple(vl), tuple(al))
     validate_labeling(g, l)
     return g, l
-
-
-def construct_path(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    return construct("path", n, kind)
-
-
-def construct_cycle(n: int) -> tuple[Digraph, TotalLabeling]:
-    """A single labeling that is arc-antimagic with weights n+1..2n and
-    vertex-antimagic with weights 1..n at the same time."""
-    return construct("cycle", n, "sa-sv-al")
-
-
-def construct_star(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    return construct("star", n, kind)
-
-
-def construct_wheel(n: int) -> tuple[Digraph, TotalLabeling]:
-    return construct("wheel", n, "sval")
-
-
-def construct_tadpole(n: int, t: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    return construct("tadpole", n, kind, t=t)
-
-
-def construct_friendship(n: int) -> tuple[Digraph, TotalLabeling]:
-    return construct("friendship", n, "sa-al")
-
-
-def construct_butterfly(n: int, kind: str) -> tuple[Digraph, TotalLabeling]:
-    return construct("butterfly", n, kind)
 
 
 def graceful_to_strong_saml(edges, phi) -> tuple[Digraph, TotalLabeling]:

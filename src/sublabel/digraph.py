@@ -84,11 +84,16 @@ class Digraph:
             raise NotIntegerError(f"vertex_count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        arcs = tuple(map(tuple, self.arcs))
-        object.__setattr__(self, "arcs", arcs)
+        arcs = []
         seen = set()
-        for arc in arcs:
-            t, h = arc
+        for arc in self.arcs:
+            try:
+                t, h = arc
+            except (TypeError, ValueError):
+                raise ValueError(f"arc {arc!r} must be a (tail, head) pair") from None
+            if type(arc) is not tuple:  # a tuple is kept, not copied
+                arc = (t, h)
+            arcs.append(arc)
             if type(t) is not int or type(h) is not int:
                 raise NotIntegerError(f"arc endpoints must be integers, got {arc!r}")
             if not (0 <= t < n and 0 <= h < n):
@@ -98,6 +103,7 @@ class Digraph:
             if arc in seen:
                 raise ValueError(f"duplicate arc ({t},{h})")
             seen.add(arc)
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     @property
     def arc_count(self) -> int:

@@ -40,10 +40,6 @@ class TotalLabeling:
         object.__setattr__(self, "vertex_labels", int_tuple(self.vertex_labels, "vertex labels"))
         object.__setattr__(self, "arc_labels", int_tuple(self.arc_labels, "arc labels"))
 
-    @property
-    def label_count(self) -> int:
-        return len(self.vertex_labels) + len(self.arc_labels)
-
 
 @dataclass(frozen=True)
 class WeightProfile:

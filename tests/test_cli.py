@@ -116,6 +116,18 @@ def test_verify_exit_1_when_no_side_classifies(capsys, tmp_path):
     assert stdout.count("none") >= 2
 
 
+def test_verify_exit_0_without_arcs(capsys, tmp_path):
+    # the arc side is vacuously magic, the vertex weights are the labels
+    doc = {"format_version": 1, "vertex_count": 3, "arcs": [],
+           "vertex_labels": [2, 3, 1], "arc_labels": []}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "arc side: magic (mu=None)" in stdout
+    assert "vertex side: arithmetic (a=1, d=1)" in stdout
+
+
 def test_verify_graph_only_document_exits_2(capsys, tmp_path):
     doc = {"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]]}
     path = tmp_path / "bare.json"
@@ -273,6 +285,17 @@ def test_search_input_rejects_graph_options(capsys, tmp_path, extra, option):
                             "--class", "saml", *extra)
     assert_one_line_failure(code, stdout, err)
     assert option in err and "--input" in err
+
+
+@pytest.mark.parametrize("graph_args", [[], ["--family", "path", "--n", "3", "--input", "{doc}"]])
+def test_search_needs_exactly_one_of_family_or_input(capsys, tmp_path, graph_args):
+    path = tmp_path / "g.json"
+    run(capsys, "construct", "--family", "path", "--n", "3",
+        "--labeling", "saml", "--out", str(path))
+    argv = [a.replace("{doc}", str(path)) for a in graph_args]
+    code, stdout, err = run(capsys, "search", *argv, "--class", "saml")
+    assert_one_line_failure(code, stdout, err)
+    assert "exactly one of --family or --input" in err
 
 
 def test_construct_unknown_kind_message_matches_the_library(capsys):

@@ -4,24 +4,21 @@ import pytest
 
 from sublabel import (CONSTRUCTION_KINDS, GracefulInputError, ParameterError,
                       TotalLabeling, Verdict, build_family, classify, construct,
-                      construct_butterfly, construct_cycle,
-                      construct_friendship, construct_path, construct_star,
-                      construct_tadpole, construct_wheel, dual,
-                      graceful_to_strong_saml, validate_labeling,
+                      dual, graceful_to_strong_saml, validate_labeling,
                       weight_profile)
 from sublabel.digraph import FAMILIES, NotIntegerError
 from sublabel.labeling import BijectionError
 
 
 def test_path_saml_frozen():
-    g, l = construct_path(4, "saml")
+    g, l = construct("path", 4, "saml")
     assert g.arcs == ((1, 0), (1, 2), (3, 2))
     assert l == TotalLabeling((1, 4, 2, 3), (7, 6, 5))
     assert weight_profile(g, l).arc_weights == (4, 4, 4)
 
 
 def test_path_sa_al_frozen():
-    g, l = construct_path(3, "sa-al")
+    g, l = construct("path", 3, "sa-al")
     assert l == TotalLabeling((1, 2, 3), (5, 4))
     c = classify(g, l)
     assert c.arc_verdict == Verdict.arithmetic(5, 1)
@@ -29,7 +26,7 @@ def test_path_sa_al_frozen():
 
 
 def test_path_sv_al_frozen():
-    g, l = construct_path(3, "sv-al")
+    g, l = construct("path", 3, "sv-al")
     assert l == TotalLabeling((5, 4, 3), (1, 2))
     assert sorted(weight_profile(g, l).vertex_weights) == [3, 4, 5]
     assert classify(g, l).strong_star
@@ -37,21 +34,21 @@ def test_path_sv_al_frozen():
 
 @pytest.mark.parametrize("n", range(2, 30))
 def test_path_classifications(n):
-    g, l = construct_path(n, "saml")
+    g, l = construct("path", n, "saml")
     c = classify(g, l)
     assert c.arc_verdict == Verdict.magic(n) and c.strong
-    g, l = construct_path(n, "sa-al")
+    g, l = construct("path", n, "sa-al")
     c = classify(g, l)
     # a single arc weight is a magic profile, not a 1-term progression
     want = Verdict.magic(n + 2) if n == 2 else Verdict.arithmetic(n + 2, 1)
     assert c.arc_verdict == want and c.strong
-    g, l = construct_path(n, "sv-al")
+    g, l = construct("path", n, "sv-al")
     c = classify(g, l)
     assert c.vertex_verdict == Verdict.arithmetic(n, 1) and c.strong_star
 
 
 def test_cycle_frozen():
-    g, l = construct_cycle(3)
+    g, l = construct("cycle", 3, "sa-sv-al")
     assert l == TotalLabeling((1, 2, 3), (5, 4, 6))
     p = weight_profile(g, l)
     assert p.arc_weights == (6, 5, 4)
@@ -60,7 +57,7 @@ def test_cycle_frozen():
 
 @pytest.mark.parametrize("n", range(3, 30))
 def test_cycle_both_sides_arithmetic(n):
-    g, l = construct_cycle(n)
+    g, l = construct("cycle", n, "sa-sv-al")
     c = classify(g, l)
     assert c.arc_verdict == Verdict.arithmetic(n + 1, 1)
     assert c.vertex_verdict == Verdict.arithmetic(1, 1)
@@ -69,33 +66,33 @@ def test_cycle_both_sides_arithmetic(n):
 
 
 def test_star_saml_frozen():
-    g, l = construct_star(2, "saml")
+    g, l = construct("star", 2, "saml")
     assert l == TotalLabeling((1, 2, 3), (5, 4))
     assert weight_profile(g, l).arc_weights == (6, 6)
 
 
 def test_star_sa_al_frozen():
-    g, l = construct_star(2, "sa-al")
+    g, l = construct("star", 2, "sa-al")
     assert l == TotalLabeling((5, 1, 2), (4, 3))
     assert classify(g, l).arc_verdict == Verdict.arithmetic(6, 2)
 
 
 def test_star_sval_frozen():
-    g, l = construct_star(2, "sval")
+    g, l = construct("star", 2, "sval")
     assert l == TotalLabeling((1, 4, 5), (3, 2))
     assert set(weight_profile(g, l).vertex_weights) == {6, 1, 3}
 
 
 @pytest.mark.parametrize("n", range(1, 30))
 def test_star_classifications(n):
-    g, l = construct_star(n, "saml")
+    g, l = construct("star", n, "saml")
     c = classify(g, l)
     assert c.arc_verdict == Verdict.magic(2 * (n + 1)) and c.strong
-    g, l = construct_star(n, "sa-al")
+    g, l = construct("star", n, "sa-al")
     c = classify(g, l)
     want = Verdict.magic(4) if n == 1 else Verdict.arithmetic(2 * n + 2, 2)
     assert c.arc_verdict == want
-    g, l = construct_star(n, "sval")
+    g, l = construct("star", n, "sval")
     c = classify(g, l)
     vw = weight_profile(g, l).vertex_weights
     assert set(vw) == set(range(1, 2 * n, 2)) | {(n + 1) * (n + 2) // 2}
@@ -106,7 +103,7 @@ def test_star_classifications(n):
 
 def test_star_center_weight_exceeds_leaf_weights():
     for n in range(2, 20):
-        _, l = construct_star(n, "sval")
+        _, l = construct("star", n, "sval")
         g = build_family("star", n, orientation="in")
         vw = weight_profile(g, l).vertex_weights
         assert vw[0] > max(vw[1:])
@@ -115,13 +112,13 @@ def test_star_center_weight_exceeds_leaf_weights():
 def test_star_sval_arc_labels_are_not_a_minimal_prefix():
     # the leaf arcs carry 2..n+1, so the strong* flag must come out false
     for n in (1, 2, 5):
-        g, l = construct_star(n, "sval")
+        g, l = construct("star", n, "sval")
         assert sorted(l.arc_labels) == list(range(2, n + 2))
         assert not classify(g, l).strong_star
 
 
 def test_wheel_frozen_n3():
-    g, l = construct_wheel(3)
+    g, l = construct("wheel", 3, "sval")
     assert l.vertex_labels == (1, 9, 8, 10)
     assert l.arc_labels == (2, 3, 4, 6, 7, 5)
     assert set(weight_profile(g, l).vertex_weights) == {10, 6, 4, 8}
@@ -130,7 +127,7 @@ def test_wheel_frozen_n3():
 
 @pytest.mark.parametrize("n", range(3, 25))
 def test_wheel_vertex_weight_set(n):
-    g, l = construct_wheel(n)
+    g, l = construct("wheel", n, "sval")
     vw = weight_profile(g, l).vertex_weights
     center = (n + 1) * (n + 2) // 2
     assert set(vw) == set(range(n + 1, 3 * n, 2)) | {center}
@@ -140,7 +137,7 @@ def test_wheel_vertex_weight_set(n):
 
 
 def test_wheel_n4_weights():
-    g, l = construct_wheel(4)
+    g, l = construct("wheel", 4, "sval")
     vw = weight_profile(g, l).vertex_weights
     assert sorted(vw[1:]) == [5, 7, 9, 11]
     assert vw[0] == 15
@@ -148,21 +145,21 @@ def test_wheel_n4_weights():
 
 
 def test_tadpole_saal_frozen():
-    g, l = construct_tadpole(3, 2, "saal")
+    g, l = construct("tadpole", 3, "saal", t=2)
     assert l.vertex_labels == (3, 5, 4, 1, 2)
     assert l.arc_labels == (6, 7, 8, 10, 9)
     assert set(weight_profile(g, l).arc_weights) == {8, 6, 7, 11, 10}
 
 
 def test_tadpole_saal_t1_frozen():
-    g, l = construct_tadpole(3, 1, "saal")
+    g, l = construct("tadpole", 3, "saal", t=1)
     assert l.vertex_labels == (2, 4, 3, 1)
     assert l.arc_labels == (5, 6, 7, 8)
     validate_labeling(g, l)
 
 
 def test_tadpole_sv_al_frozen():
-    g, l = construct_tadpole(3, 2, "sv-al")
+    g, l = construct("tadpole", 3, "sv-al", t=2)
     assert l.vertex_labels == (6, 8, 7, 10, 9)
     assert l.arc_labels == (3, 4, 5, 1, 2)
     assert sorted(weight_profile(g, l).vertex_weights) == [6, 7, 8, 9, 10]
@@ -171,18 +168,18 @@ def test_tadpole_sv_al_frozen():
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("t", range(1, 8))
 def test_tadpole_classifications(n, t):
-    g, l = construct_tadpole(n, t, "saal")
+    g, l = construct("tadpole", n, "saal", t=t)
     c = classify(g, l)
     aw = set(weight_profile(g, l).arc_weights)
     assert aw == set(range(n + t + 1, 2 * n + 2 * t + 2)) - {2 * n + t + 1}
     assert c.arc_verdict == Verdict.antimagic() and c.strong
-    g, l = construct_tadpole(n, t, "sv-al")
+    g, l = construct("tadpole", n, "sv-al", t=t)
     c = classify(g, l)
     assert c.vertex_verdict == Verdict.arithmetic(n + t + 1, 1) and c.strong_star
 
 
 def test_friendship_frozen_n2():
-    g, l = construct_friendship(2)
+    g, l = construct("friendship", 2, "sa-al")
     assert l.vertex_labels == (1, 2, 4, 3, 5)
     assert l.arc_labels == (6, 8, 11, 7, 9, 10)
     assert sorted(weight_profile(g, l).arc_weights) == [6, 7, 8, 9, 10, 11]
@@ -190,21 +187,21 @@ def test_friendship_frozen_n2():
 
 @pytest.mark.parametrize("n", range(1, 20))
 def test_friendship_classifications(n):
-    g, l = construct_friendship(n)
+    g, l = construct("friendship", n, "sa-al")
     c = classify(g, l)
     assert c.arc_verdict == Verdict.arithmetic(2 * n + 2, 1) and c.strong
     assert set(weight_profile(g, l).arc_weights) == set(range(2 * n + 2, 5 * n + 2))
 
 
 def test_butterfly_sa_al_frozen():
-    g, l = construct_butterfly(3, "sa-al")
+    g, l = construct("butterfly", 3, "sa-al")
     assert l.vertex_labels == (3, 1, 4, 2, 5)
     assert l.arc_labels == (9, 7, 10, 8, 6, 11)
     assert sorted(weight_profile(g, l).arc_weights) == [6, 7, 8, 9, 10, 11]
 
 
 def test_butterfly_sval_frozen():
-    g, l = construct_butterfly(3, "sval")
+    g, l = construct("butterfly", 3, "sval")
     assert l.vertex_labels == (7, 9, 8, 10, 11)
     assert l.arc_labels == (3, 1, 5, 4, 2, 6)
     assert set(weight_profile(g, l).vertex_weights) == {3, 9, 11, 10, 12}
@@ -212,10 +209,10 @@ def test_butterfly_sval_frozen():
 
 @pytest.mark.parametrize("n", range(3, 20))
 def test_butterfly_classifications(n):
-    g, l = construct_butterfly(n, "sa-al")
+    g, l = construct("butterfly", n, "sa-al")
     c = classify(g, l)
     assert c.arc_verdict == Verdict.arithmetic(2 * n, 1) and c.strong
-    g, l = construct_butterfly(n, "sval")
+    g, l = construct("butterfly", n, "sval")
     c = classify(g, l)
     vw = weight_profile(g, l).vertex_weights
     assert set(vw) == {3} | set(range(2 * n + 3, 4 * n + 1))
@@ -224,9 +221,9 @@ def test_butterfly_classifications(n):
 
 
 def test_friendship_and_butterfly_agree_on_the_shared_shape():
-    _, lf = construct_friendship(2)
+    _, lf = construct("friendship", 2, "sa-al")
     gf = build_family("friendship", 2)
-    gb, lb = construct_butterfly(3, "sa-al")
+    gb, lb = construct("butterfly", 3, "sa-al")
     assert classify(gf, lf).arc_verdict == Verdict.arithmetic(6, 1)
     assert classify(gb, lb).arc_verdict == Verdict.arithmetic(6, 1)
 
@@ -242,8 +239,6 @@ def test_path_arc_labels_2n_plus_1_variant_is_not_a_bijection():
 
 
 def test_construct_dispatcher_matches_direct_calls():
-    assert construct("cycle", 4, "sa-sv-al") == construct_cycle(4)
-    assert construct("tadpole", 3, "saal", t=2) == construct_tadpole(3, 2, "saal")
     with pytest.raises(ParameterError, match="valid kinds"):
         construct("cycle", 4, "saml")
     with pytest.raises(ParameterError):
@@ -266,6 +261,7 @@ def test_construct_rejects_t_outside_tadpoles(family, kind):
     ("star", 0, None, "saml"), ("wheel", 2, None, "sval"),
     ("tadpole", 2, 1, "saal"), ("friendship", 0, None, "sa-al"),
     ("butterfly", 2, None, "sval"),
+    (["path"], 3, None, "saml"), ("path", 3, None, ["saml"]),
 ])
 def test_constructors_reject_small_parameters(family, n, t, kind):
     with pytest.raises(ParameterError):
@@ -303,6 +299,8 @@ def test_graceful_star_conversion():
     ([(0, 1), (0, 1)], (1, 2, 3), "tree"),                  # disconnected triple
     ([(0, 1), (1, 2)], (1, 2, 4), "bijection"),             # phi not onto 1..3
     ([(0, 1), (1, 2), (2, 3)], (1, 2, 3, 4), "graceful"),   # diffs 1,1,1
+    ([], (), "at least one vertex"),                        # empty tree
+    ([(0, 0)], (1, 2), "not a valid tree edge"),            # loop, right count
 ])
 def test_graceful_conversion_rejects_bad_input(edges, phi, hint):
     with pytest.raises(GracefulInputError, match=hint):
@@ -349,7 +347,7 @@ def test_graceful_paths_become_magic(n):
 
 
 def test_dual_of_constructed_magic_labelings():
-    for g, l in [construct_path(6, "saml"), construct_star(4, "saml"),
+    for g, l in [construct("path", 6, "saml"), construct("star", 4, "saml"),
                  graceful_to_strong_saml([(0, 1), (0, 2), (0, 3)], (1, 2, 3, 4))]:
         mu = classify(g, l).arc_verdict.mu
         d = dual(g, l)

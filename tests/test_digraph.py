@@ -169,6 +169,17 @@ def test_digraph_rejects_non_integers(vertex_count, arcs):
         Digraph(vertex_count, arcs)
 
 
+@pytest.mark.parametrize("vertex_count,arcs,hint", [
+    (3, ((0, 1, 2),), r"arc \(0, 1, 2\) must be a \(tail, head\) pair"),
+    (3, ((0,),), r"arc \(0,\) must be a \(tail, head\) pair"),
+    (3, (5,), r"arc 5 must be a \(tail, head\) pair"),
+    (-1, (), "nonnegative"),
+])
+def test_digraph_rejects_malformed_arcs_and_counts(vertex_count, arcs, hint):
+    with pytest.raises(ValueError, match=hint):
+        Digraph(vertex_count, arcs)
+
+
 def group_order(graph):
     return prod(len(orbit) for _, orbit in graph.automorphism_base())
 

@@ -3,14 +3,14 @@
 import pytest
 
 from sublabel import (Digraph, DocumentError, LabelingDocument, ParameterError,
-                      TotalLabeling, build_family, construct, construct_cycle,
-                      construct_tadpole, from_dict, from_json, to_dot)
+                      TotalLabeling, build_family, construct, from_dict,
+                      from_json, to_dot)
 
 
 def docs():
-    g, l = construct_cycle(3)
+    g, l = construct("cycle", 3, "sa-sv-al")
     yield LabelingDocument(g, l)
-    g, l = construct_tadpole(3, 2, "saal")
+    g, l = construct("tadpole", 3, "saal", t=2)
     yield LabelingDocument(g, l, notes=("example",))
     yield LabelingDocument(build_family("star", 3, orientation="in"))  # graph only
     yield LabelingDocument(Digraph(2, ((0, 1),)), TotalLabeling((3, 1), (2,)),
@@ -23,13 +23,13 @@ def test_json_round_trip(doc):
 
 
 def test_round_trip_is_byte_stable():
-    g, l = construct_cycle(4)
+    g, l = construct("cycle", 4, "sa-sv-al")
     doc = LabelingDocument(g, l)
     assert from_json(doc.to_json()).to_json() == doc.to_json()
 
 
 def test_dot_output_frozen():
-    g, l = construct_cycle(3)
+    g, l = construct("cycle", 3, "sa-sv-al")
     dot = to_dot(LabelingDocument(g, l))
     assert dot == (
         "digraph G {\n"
@@ -75,6 +75,16 @@ def test_negative_weights_render():
      '"family": {"name": "cycle", "n": 3}}', "match"),
     ('{"format_version": 1, "vertex_count": 3, "arcs": [[0, 1]], '
      '"family": {"name": "blob", "n": 3}}', "family"),
+    ("[]", "JSON object"),
+    ('{"format_version": 1, "vertex_count": 2, "arcs": {}}', "arcs must be a list"),
+    ('{"format_version": 1, "vertex_count": 3, "arcs": [[0, 1], [1, 2], [2, 0]], '
+     '"family": {"name": "cycle"}}', "family block needs"),
+    ('{"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]], '
+     '"vertex_labels": [1, 2], "arc_labels": [3, 4]}', "arc_labels length"),
+    ('{"format_version": 1, "vertex_count": 1, "arcs": [], '
+     '"classification": []}', "classification must be an object"),
+    ('{"format_version": 1, "vertex_count": 1, "arcs": [], '
+     '"notes": [1]}', "notes must be a list of strings"),
 ])
 def test_malformed_documents_rejected(text, hint):
     with pytest.raises(DocumentError, match=hint):
@@ -141,13 +151,13 @@ def test_family_document_builds_one_digraph(monkeypatch):
     built = []
     check = Digraph.__post_init__
     monkeypatch.setattr(Digraph, "__post_init__", lambda g: built.append(check(g)))
-    text = LabelingDocument(*construct_tadpole(3, 2, "saal")).to_json()
+    text = LabelingDocument(*construct("tadpole", 3, "saal", t=2)).to_json()
     built.clear()
     assert from_json(text).graph.family.t == 2 and len(built) == 1
 
 
 def test_family_block_restores_names():
-    g, l = construct_cycle(3)
+    g, l = construct("cycle", 3, "sa-sv-al")
     doc = from_json(LabelingDocument(g, l).to_json())
     assert doc.graph.family is not None
     assert doc.graph.family.vertex_names == ("v_1", "v_2", "v_3")

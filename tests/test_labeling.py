@@ -104,6 +104,7 @@ def test_index_out_of_range():
     ((1, 2, 3), (4, 5, 5)),         # repeated label
     ((1, 2, 3), (4, 5, 7)),         # label out of range
     ((0, 2, 3), (4, 5, 6)),         # zero label
+    ((1, 2), (3, 4, 5)),            # wrong vertex count
 ])
 def test_bijection_violations_rejected(vl, al):
     with pytest.raises(BijectionError):

@@ -5,10 +5,7 @@ import json
 import pytest
 
 from sublabel import (SearchCapError, SearchQuery, Target, TotalLabeling,
-                      build_family, classify, construct_butterfly,
-                      construct_cycle, construct_friendship, construct_path,
-                      construct_star, construct_tadpole, construct_wheel,
-                      search)
+                      build_family, classify, construct, search)
 
 ALL_TARGETS = [Target(side, kind)
                for side in ("arc", "vertex")
@@ -95,7 +92,7 @@ def test_pruned_and_reference_agree_on_random_digraphs():
 
 
 def test_strong_flags_restrict_the_count():
-    g, l = construct_path(3, "saml")
+    g, l = construct("path", 3, "saml")
     free = search(SearchQuery(g, Target("arc", "magic"), mode="collect-up-to",
                               limit=10 ** 9))
     strong = search(SearchQuery(g, Target("arc", "magic"), require_strong=True,
@@ -113,23 +110,23 @@ def test_witness_inclusion_for_constructions_within_reach():
     # every family/kind pair, pinned down enough to keep the bigger
     # instances (N up to 11) tractable and the witness lists small
     cases = [
-        (construct_path(3, "saml"), Target("arc", "magic"), {}),
-        (construct_path(4, "sa-al"), Target("arc", "arithmetic", a=6, d=1), {}),
-        (construct_path(3, "sv-al"), Target("vertex", "arithmetic", a=3, d=1), {}),
-        (construct_cycle(3), Target("arc", "arithmetic", a=4, d=1), {}),
-        (construct_cycle(4), Target("arc", "arithmetic", a=5, d=1), {}),
-        (construct_star(2, "saml"), Target("arc", "magic"), {}),
-        (construct_star(2, "sa-al"), Target("arc", "arithmetic", a=6, d=2), {}),
-        (construct_star(2, "sval"), Target("vertex", "antimagic"), {}),
-        (construct_star(1, "sval"), Target("vertex", "antimagic"), {}),
-        (construct_star(3, "sval"), Target("vertex", "antimagic"), {}),
-        (construct_wheel(3), Target("vertex", "arithmetic", a=4, d=2), {}),
-        (construct_tadpole(3, 1, "saal"), Target("arc", "antimagic"), {}),
-        (construct_tadpole(3, 1, "sv-al"),
+        (construct("path", 3, "saml"), Target("arc", "magic"), {}),
+        (construct("path", 4, "sa-al"), Target("arc", "arithmetic", a=6, d=1), {}),
+        (construct("path", 3, "sv-al"), Target("vertex", "arithmetic", a=3, d=1), {}),
+        (construct("cycle", 3, "sa-sv-al"), Target("arc", "arithmetic", a=4, d=1), {}),
+        (construct("cycle", 4, "sa-sv-al"), Target("arc", "arithmetic", a=5, d=1), {}),
+        (construct("star", 2, "saml"), Target("arc", "magic"), {}),
+        (construct("star", 2, "sa-al"), Target("arc", "arithmetic", a=6, d=2), {}),
+        (construct("star", 2, "sval"), Target("vertex", "antimagic"), {}),
+        (construct("star", 1, "sval"), Target("vertex", "antimagic"), {}),
+        (construct("star", 3, "sval"), Target("vertex", "antimagic"), {}),
+        (construct("wheel", 3, "sval"), Target("vertex", "arithmetic", a=4, d=2), {}),
+        (construct("tadpole", 3, "saal", t=1), Target("arc", "antimagic"), {}),
+        (construct("tadpole", 3, "sv-al", t=1),
          Target("vertex", "arithmetic", a=5, d=1), {}),
-        (construct_friendship(1), Target("arc", "arithmetic", a=4, d=1), {}),
-        (construct_butterfly(3, "sa-al"), Target("arc", "arithmetic", a=6, d=1), {}),
-        (construct_butterfly(3, "sval"), Target("vertex", "antimagic"),
+        (construct("friendship", 1, "sa-al"), Target("arc", "arithmetic", a=4, d=1), {}),
+        (construct("butterfly", 3, "sa-al"), Target("arc", "arithmetic", a=6, d=1), {}),
+        (construct("butterfly", 3, "sval"), Target("vertex", "antimagic"),
          {"require_strong_star": True}),
     ]
     for (g, l), target, restrict in cases:

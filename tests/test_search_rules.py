@@ -262,6 +262,7 @@ def test_count_all_nodes_are_the_same_at_two_workers():
     ("arithmetic", {"d": True}),
     ("arithmetic", {"a": 2.5}),
     ("arithmetic", {"a": "1"}),
+    ("blob", {}),
 ])
 def test_target_rejects_misplaced_or_invalid_parameters(kind, kw):
     with pytest.raises(ValueError):
@@ -273,6 +274,21 @@ def test_query_rejects_a_limit_outside_collect_up_to(mode):
     graph = build_family("path", 2)
     with pytest.raises(ValueError, match="collect-up-to mode only"):
         SearchQuery(graph, Target("arc", "magic"), mode=mode, limit=5)
+
+
+def test_target_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="target side must be one of"):
+        Target("edge", "magic")
+
+
+@pytest.mark.parametrize("mode,limit,hint", [
+    ("sample", None, "unknown search mode 'sample'"),
+    ("collect-up-to", None, "needs a positive limit"),
+    ("collect-up-to", 0, "needs a positive limit"),
+])
+def test_query_rejects_an_unknown_mode_or_a_missing_limit(mode, limit, hint):
+    with pytest.raises(ValueError, match=hint):
+        SearchQuery(build_family("path", 2), Target("arc", "magic"), mode=mode, limit=limit)
 
 
 def test_search_rejects_fewer_than_one_worker():
