@@ -15,6 +15,12 @@ from .labeling import TotalLabeling, weight_profile
 
 FORMAT_VERSION = 1
 
+# the keys to_dict writes, and those of the family block; any other key is
+# refused, so a misspelt one is not silently dropped
+DOCUMENT_KEYS = ("format_version", "family", "vertex_count", "arcs",
+                 "vertex_labels", "arc_labels", "classification", "notes")
+FAMILY_KEYS = ("name", "n", "t", "orientation")
+
 
 class DocumentError(ValueError):
     """The document is malformed or inconsistent."""
@@ -54,9 +60,17 @@ def _expect_int_list(value, name: str) -> list[int]:
     return value
 
 
+def _refuse_unknown_keys(d: dict, known: tuple[str, ...], where: str):
+    for key in d:
+        if key not in known:
+            raise DocumentError(f"unknown key {key!r} in {where}; "
+                                f"expected one of {', '.join(known)}")
+
+
 def from_dict(d: dict) -> LabelingDocument:
     if not isinstance(d, dict):
         raise DocumentError("document must be a JSON object")
+    _refuse_unknown_keys(d, DOCUMENT_KEYS, "the document")
     version = d.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
@@ -77,6 +91,7 @@ def from_dict(d: dict) -> LabelingDocument:
     if fd is not None:
         if not isinstance(fd, dict) or "name" not in fd or "n" not in fd:
             raise DocumentError("family block needs at least name and n")
+        _refuse_unknown_keys(fd, FAMILY_KEYS, "the family block")
         try:
             graph = build_family(fd["name"], fd["n"], t=fd.get("t"),
                                  orientation=fd.get("orientation"))

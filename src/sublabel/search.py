@@ -10,35 +10,37 @@ Two enumerators produce the same results:
   branches with rules taken from the definitions.  Magic targets are
   settled while the vertex labels are placed:
 
-  1. the magic constant mu follows from the label-sum identities.  On the
-     vertex side V * mu is the sum of the vertex labels.  On the arc side
-     arc i must get the label mu - b_i, where b_i = vl[head] - vl[tail] is
-     its base, and the arc labels sum to N(N+1)/2 - sum(vl), so
-     A * mu = N(N+1)/2 - sum((1 - in(v) + out(v)) * vl[v]) on every
-     digraph.  Every arc-magic arc label is forced once the vertices are
-     placed;
-  2. arc-magic bases: as soon as both endpoints of an arc are labelled,
-     its base must differ from every earlier base (the forced labels are
-     distinct) and the spread max(b) - min(b) must stay within
-     a_hi - a_lo (the forced labels share one label range).  Each slot
-     offers only the labels that keep the spread;
-  3. last-slot residue cut: the last vertex slot offers only the labels
-     that make mu an integer.
+  1. magic constant: on the vertex side V * mu is the sum of the vertex
+     labels, so the last vertex slot offers only the labels that make mu
+     an integer.  On the arc side arc i must get the label mu - b_i, where
+     b_i = vl[head] - vl[tail] is its base, fixed once its second endpoint
+     is placed.  The vertex phase keeps the set of mu that every label
+     forced so far allows, as a bitmask: a vertex label drops each mu that
+     would give a completed arc that label, and an arc completed at a slot
+     drops each mu that puts its label outside the arc label range or on a
+     vertex label, or every mu if its base repeats an earlier one (the
+     forced labels are distinct).  A prefix with no mu left is cut.  Once
+     the vertices are placed every arc is completed, and each mu left
+     gives N distinct labels in 1..N.  Their sum N(N+1)/2 is
+     sum(vl) + A * mu - sum(b_i), which rises with mu, so on a digraph
+     with arcs exactly one mu is left, and it forces every arc label.
 
   After the vertex phase the weight sum S of the target side's k weights
-  is fixed, by the identity of rule 1 on the arc side and as sum(vl) on
-  the vertex side.  A side with fewer than two weights is magic, so a
-  distinctness target there has no solution.  The arc phase then keeps
-  the weights inside the candidate progressions:
+  is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
+  labels sum to N(N+1)/2 - sum(vl) and arc i weighs its label plus b_i,
+  S = N(N+1)/2 - sum((1 - in(v) + out(v)) * vl[v]) on every digraph.  A
+  side with fewer than two weights is magic, so a distinctness target
+  there has no solution.  The arc phase then keeps the weights inside the
+  candidate progressions:
 
-  4. progression candidates: a magic target's weights form the one-term
+  2. progression candidates: a magic target's weights form the one-term
      progression mu..mu, with mu = S / k.  An arithmetic target's can only
      be a progression a, a + d, .., a + (k-1)d with
      k * a + d * k(k-1)/2 = S, inside the range the weights can reach and
      with the given a and d.  Each weight of an arithmetic target drops,
      once it is fixed, the candidates it is not a term of, and a branch
      with none left is cut;
-  5. candidate span: all candidates are centred on S / k, so the one with
+  3. candidate span: all candidates are centred on S / k, so the one with
      the largest d spans the others.  An arc-side slot offers only the
      labels whose weight lies in that span; a vertex-side slot only those
      that leave both endpoints able to reach it, with their open arcs.
@@ -63,7 +65,7 @@ Two enumerators produce the same results:
   orbit has vl[b_i] below the label of every other vertex of b_i's basic
   orbit, for every i:
 
-  6. symmetry cut: a vertex slot in the basic orbit of b_i offers only
+  4. symmetry cut: a vertex slot in the basic orbit of b_i offers only
      labels above vl[b_i], which is placed already, as b_i comes first in
      its orbit.  The count of these canonical labelings is multiplied by
      |Aut|.  First-witness and collect-up-to searches report the
@@ -96,7 +98,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd
 from operator import mul
 
 from .digraph import Digraph
@@ -254,11 +255,11 @@ class _Kernel:
     # slots keep attribute access in the inner loops fast however many
     # attributes the rules add
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
-                 "v_lo", "v_hi", "a_lo", "a_hi", "completes", "residue",
-                 "base_used", "spread", "coef", "closes", "reach",
+                 "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
+                 "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
-                 "bmin", "bmax", "seen", "pw")
+                 "mus", "bases", "vmask", "seen", "pw")
 
     def __init__(self, query: SearchQuery):
         g = query.graph
@@ -282,7 +283,7 @@ class _Kernel:
         self.v_lo, self.v_hi = v_lo, v_hi
         self.a_lo, self.a_hi = a_lo, a_hi
         t = query.target
-        # rule 6, count-all only: above[s] lists the base points whose
+        # rule 4, count-all only: above[s] lists the base points whose
         # basic orbit holds vertex s; each must get a smaller label than s
         above = [[] for _ in range(self.V)]
         self.automorphisms = 1
@@ -294,33 +295,29 @@ class _Kernel:
         self.above = [tuple(a) for a in above]
         # the arc weights sum to total - sum(coef[v] * vl[v])
         self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
-        # vertex-phase rules for magic targets.  completes[s] lists, as
-        # (other endpoint, sign), the arcs whose second endpoint is vertex
-        # s; the base vl[head] - vl[tail] of such an arc is
-        # sign * (vl[s] - vl[other]).
-        self.completes = [()] * self.V
-        self.residue = None
-        self.base_used = None
-        self.spread = self.a_hi - self.a_lo
-        if t.kind == "magic" and t.side == "arc" and self.A:
-            completes = [[] for _ in range(self.V)]
+        # rule 1 for magic targets.  completes[s] lists, as (other
+        # endpoint, sign), the arcs whose second endpoint is vertex s; the
+        # base vl[head] - vl[tail] of such an arc is
+        # sign * (vl[s] - vl[other]).  arc_window has bit l set for each
+        # arc label l in a_lo..a_hi.
+        self.arc_magic = t.kind == "magic" and t.side == "arc"
+        self.vertex_magic = t.kind == "magic" and t.side == "vertex"
+        self.arc_window = sum(1 << lab for lab in range(a_lo, a_hi + 1))
+        completes = [[] for _ in range(self.V)]
+        if self.arc_magic:
             for tail, head in g.arcs:
                 if tail < head:
                     completes[head].append((tail, 1))
                 else:
                     completes[tail].append((head, -1))
-            self.completes = [tuple(c) for c in completes]
-            self.base_used = [False] * (2 * self.N + 1)  # base b at index b + N
-            self._set_residue(self.coef, self.total, self.A)
-        elif t.kind == "magic" and t.side == "vertex" and self.V:
-            self._set_residue([1] * self.V, 0, self.V)  # V * mu = sum(vl)
+        self.completes = [tuple(c) for c in completes]
         # vertex-side arc-phase tables, fixed by the arc order.  reach[k] is
         # lo, hi of the tail, then of the head of arc k: the arcs of that
         # endpoint after k change its weight by lo..hi, as each adds 1..N
         # (in-arc) or takes 1..N away (out-arc), and 0, 0 once k is its last
         # arc.  v_reach[v] is the window of v over the whole arc phase.
         # closes[k] lists the endpoints (tail first) whose last arc is k, for
-        # the duplicate check; a magic weight closed inside rule 5's span is
+        # the duplicate check; a magic weight closed inside rule 3's span is
         # mu, so magic targets check none.
         n = self.N
         rin, rout = in_deg[:], out_deg[:]
@@ -337,19 +334,6 @@ class _Kernel:
             self.closes.append(() if t.kind == "magic" else
                                tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
             self.reach.append(window(tail) + window(head))
-
-    def _set_residue(self, coef: list[int], k: int, m: int):
-        """Make the last vertex slot keep sum(coef[v] * vl[v]) == k (mod m).
-
-        With c the coefficient of the last slot and r = k minus the sum over
-        the earlier slots, the last label x needs c * x == r (mod m): no x
-        unless g = gcd(c, m) divides r, else x == (r / g) * inv
-        (mod m / g), where inv is the inverse of c / g modulo m / g.
-        """
-        c = coef[-1]
-        g = gcd(c, m)
-        step = m // g
-        self.residue = (coef[:-1], k, g, step, pow(c // g, -1, step))
 
     def first_labels(self) -> list[int]:
         """Slot-0 label choices, in canonical order (for branch splitting)."""
@@ -370,7 +354,11 @@ class _Kernel:
         self.used = [False] * (self.N + 2)
         self.vl = [0] * self.V
         self.al = [0] * self.A
-        self.bmin, self.bmax = self.N, -self.N  # no base placed yet
+        # rule 1 on the arc side: bit mu + N of mus is set while mu is
+        # feasible, bit b + N of bases for each base placed and bit x of
+        # vmask for each vertex label placed.  A forced label mu - b in
+        # 1..N needs mu in 2 - N..2N - 1, inside the 3N bits set at first.
+        self.mus, self.bases, self.vmask = (1 << 3 * self.N) - 1, 0, 0
         if self.V:
             self._vertex_slot(0, first_label)
         elif self.target.kind == "magic":
@@ -380,21 +368,23 @@ class _Kernel:
     # -- vertex phase -------------------------------------------------
 
     def _slot_labels(self, s: int):
-        """Labels vertex slot s may take, before the used and base checks.
+        """Labels vertex slot s may take, before the used and mu checks.
 
-        Rule 6: above the label of each base point whose basic orbit holds
-        s.  Arc-magic: the bases of the arcs completed here stay within
-        a_hi - a_lo of the bases placed so far only for labels in one
-        interval.  Last slot of a magic target: the residue leaves one
-        label class modulo m / gcd(coef[s], m).
+        Rule 4: above the label of each base point whose basic orbit holds
+        s.  Arc-magic: an arc completed here gets a label in a_lo..a_hi for
+        some mu left only if its base lies within the lowest mu left minus
+        a_hi and the highest minus a_lo.  Last slot of a vertex-magic
+        target: V * mu = sum(vl) leaves one label class modulo V.
         """
         lo, hi = self.v_lo, self.v_hi
         vl = self.vl
         for b in self.above[s]:
             if vl[b] >= lo:
                 lo = vl[b] + 1
-        if self.bmin <= self.bmax:
-            blo, bhi = self.bmax - self.spread, self.bmin + self.spread
+        if self.completes[s]:
+            mus = self.mus
+            blo = (mus & -mus).bit_length() - 1 - self.N - self.a_hi
+            bhi = mus.bit_length() - 1 - self.N - self.a_lo
             for other, sign in self.completes[s]:
                 o = vl[other]
                 # sign * (lab - o) in blo..bhi
@@ -403,13 +393,8 @@ class _Kernel:
                     lo = a
                 if b < hi:
                     hi = b
-        if s == self.V - 1 and self.residue is not None:
-            coef, k, g, step, inv = self.residue
-            r = k - sum(map(mul, coef, vl))  # coef stops before slot s
-            if r % g:
-                return ()
-            first = r // g * inv % step
-            return range(lo + (first - lo) % step, hi + 1, step)
+        if s == self.V - 1 and self.vertex_magic:
+            return range(lo + (-sum(vl[:s]) - lo) % self.V, hi + 1, self.V)
         return range(lo, hi + 1)
 
     def _vertex_slot(self, s: int, only: int | None = None):
@@ -419,8 +404,8 @@ class _Kernel:
         labels = self._slot_labels(s)
         if only is not None:
             labels = (only,) if only in labels else ()
-        if self.completes[s]:
-            self._vertex_slot_bases(s, labels)
+        if self.arc_magic:
+            self._vertex_slot_arc_magic(s, labels)
             return
         vl, used = self.vl, self.used
         for lab in labels:
@@ -434,63 +419,61 @@ class _Kernel:
             if self.stopped:
                 return
 
-    def _vertex_slot_bases(self, s: int, labels):
-        """Arc-magic slot that completes arcs: their bases must be new and
-        keep the spread of all bases within a_hi - a_lo."""
-        vl, used, base_used, n = self.vl, self.used, self.base_used, self.N
-        completes, spread = self.completes[s], self.spread
-        bmin, bmax = self.bmin, self.bmax
-        for lab in labels:
-            if used[lab]:
+    def _vertex_slot_arc_magic(self, s: int, labels):
+        """Arc-magic slot: label x keeps the mu left that give no completed
+        arc the label x and, for each arc completed here with a new base b,
+        an unused label mu - b in a_lo..a_hi (rule 1)."""
+        vl, n, window = self.vl, self.N, self.arc_window
+        completes = self.completes[s]
+        mus, bases, vmask = self.mus, self.bases, self.vmask
+        for x in labels:
+            bit = 1 << x
+            if vmask & bit:
                 continue
-            new = []
-            lo, hi = bmin, bmax
+            m = mus & ~(bases << x)
+            free = window & ~(vmask | bit)
+            new = bases
             for other, sign in completes:
-                b = sign * (lab - vl[other])
-                if base_used[b + n] or b in new:
+                b = sign * (x - vl[other]) + n
+                if new >> b & 1:
+                    m = 0
                     break
-                new.append(b)
-                if b < lo:
-                    lo = b
-                if b > hi:
-                    hi = b
-            else:
-                if hi - lo > spread:
-                    continue
-                for b in new:
-                    base_used[b + n] = True
-                self.bmin, self.bmax = lo, hi
-                used[lab] = True
-                vl[s] = lab
-                self.nodes += 1
-                self._vertex_slot(s + 1)
-                used[lab] = False
-                for b in new:
-                    base_used[b + n] = False
-                if self.stopped:
-                    break
-        self.bmin, self.bmax = bmin, bmax
+                new |= 1 << b
+                m &= free << b
+            if not m:
+                continue
+            self.mus, self.bases, self.vmask = m, new, vmask | bit
+            vl[s] = x
+            self.nodes += 1
+            self._vertex_slot(s + 1)
+            if self.stopped:
+                break
+        self.mus, self.bases, self.vmask = mus, bases, vmask
 
     def _boundary(self):
         """All vertex labels placed; set up the arc phase.
 
-        The weight sum S of the target side is now fixed, and with it the
-        candidate progressions (a, d, top): the one-term span (mu, 0, mu)
-        of a magic target, those of rule 4 for an arithmetic target, None
+        Rule 1 has settled an arc-magic target.  For any other the weight
+        sum S of the target side is now fixed, and with it the candidate
+        progressions (a, d, top): the one-term span (mu, 0, mu) of a
+        vertex-magic target, those of rule 2 for an arithmetic target, None
         for an antimagic one.
         """
+        if self.arc_magic:
+            self._arcs_arc_magic()
+            return
         t = self.target
         vl = self.vl
         arc = t.side == "arc"
         k = self.A if arc else self.V
         if k < 2 and t.kind != "magic":
             return  # no weight or a single one classifies as magic
-        # rule 1's identity on the arc side; on the vertex side the arcs add
-        # to one vertex weight what they take from another
+        # on the vertex side the arcs add to one vertex weight what they
+        # take from another
         s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
         cands = None
         if t.kind == "magic":
-            mu = s // k if k else 0  # exact: the last vertex slot kept the residue
+            mu = s // k  # exact: the last vertex slot kept V * mu = sum(vl)
             cands = [(mu, 0, mu)]
         elif t.kind == "arithmetic":
             if arc:
@@ -502,9 +485,6 @@ class _Kernel:
             cands = self._progressions(k, s, lo, hi)
             if not cands:
                 return
-        if arc and t.kind == "magic":
-            self._arcs_arc_magic(mu)
-            return
         self.seen = set()
         if arc:
             self._arc_slot_arc_distinct(0, cands)
@@ -546,22 +526,17 @@ class _Kernel:
 
     # -- arc phase, arc-side targets ------------------------------------
 
-    def _arcs_arc_magic(self, mu: int):
-        """Place the arc labels mu - base, all forced, in arc order."""
-        al, used, vl = self.al, self.used, self.vl
-        placed = 0
-        for k in range(self.A):
-            lab = mu - vl[self.heads[k]] + vl[self.tails[k]]
-            if not self.a_lo <= lab <= self.a_hi or used[lab]:
-                break
-            used[lab] = True
-            al[k] = lab
-            placed += 1
-        self.nodes += placed
-        if placed == self.A:
-            self._leaf()
-        for k in range(placed):
-            used[al[k]] = False
+    def _arcs_arc_magic(self):
+        """Place the arc labels mu - base, in arc order, with the one mu
+        that rule 1 left.  The mask kept them in a_lo..a_hi and distinct
+        from each other and from the vertex labels, so none is checked; a
+        digraph without arcs has no label to place."""
+        mu = self.mus.bit_length() - 1 - self.N
+        al, vl = self.al, self.vl
+        for k, (tail, head) in enumerate(zip(self.tails, self.heads)):
+            al[k] = mu - vl[head] + vl[tail]
+        self.nodes += self.A
+        self._leaf()
 
     def _arc_slot_arc_distinct(self, k: int, cands):
         if k == self.A:

@@ -105,6 +105,16 @@ def test_verify_rejects_non_bijection_exits_2(capsys, tmp_path):
     assert "labels not a bijection onto 1..5" in err
 
 
+def test_verify_refuses_a_misspelt_key_exits_2(capsys, tmp_path):
+    doc = {"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]],
+           "vertex_labels": [1, 2], "arc_labels": [3], "note": ["typo"]}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "unknown key 'note' in the document" in err
+
+
 def test_verify_exit_1_when_no_side_classifies(capsys, tmp_path):
     doc = {"format_version": 1, "vertex_count": 3,
            "arcs": [[0, 1], [1, 2], [2, 0]],

@@ -238,7 +238,7 @@ def test_path_arc_labels_2n_plus_1_variant_is_not_a_bijection():
             validate_labeling(g, labels)
 
 
-def test_construct_dispatcher_matches_direct_calls():
+def test_construct_refuses_a_kind_the_family_lacks_and_a_tadpole_without_t():
     with pytest.raises(ParameterError, match="valid kinds"):
         construct("cycle", 4, "saml")
     with pytest.raises(ParameterError):

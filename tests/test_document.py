@@ -85,6 +85,13 @@ def test_negative_weights_render():
      '"classification": []}', "classification must be an object"),
     ('{"format_version": 1, "vertex_count": 1, "arcs": [], '
      '"notes": [1]}', "notes must be a list of strings"),
+    # a misspelt key was dropped: both labels misspelt loaded a graph-only
+    # document, and a stray key beside orientation loaded the graph
+    ('{"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]], '
+     '"vertex_lables": [1, 2], "arc_lables": [3]}', "unknown key 'vertex_lables' in the document"),
+    ('{"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]], '
+     '"family": {"name": "star", "n": 1, "orientation": "out", "orientaton": "in"}}',
+     "unknown key 'orientaton' in the family block"),
 ])
 def test_malformed_documents_rejected(text, hint):
     with pytest.raises(DocumentError, match=hint):
