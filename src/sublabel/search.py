@@ -10,20 +10,34 @@ Two enumerators produce the same results:
   branches with rules taken from the definitions.  Magic targets are
   settled while the vertex labels are placed:
 
-  1. magic constant: on the vertex side V * mu is the sum of the vertex
-     labels, so the last vertex slot offers only the labels that make mu
-     an integer.  On the arc side arc i must get the label mu - b_i, where
+  1. magic constant: the vertex phase keeps the set of mu that the labels
+     placed so far allow, as a bitmask, and cuts a prefix with no mu left.
+     On the arc side arc i must get the label mu - b_i, where
      b_i = vl[head] - vl[tail] is its base, fixed once its second endpoint
-     is placed.  The vertex phase keeps the set of mu that every label
-     forced so far allows, as a bitmask: a vertex label drops each mu that
-     would give a completed arc that label, and an arc completed at a slot
-     drops each mu that puts its label outside the arc label range or on a
-     vertex label, or every mu if its base repeats an earlier one (the
-     forced labels are distinct).  A prefix with no mu left is cut.  Once
-     the vertices are placed every arc is completed, and each mu left
-     gives N distinct labels in 1..N.  Their sum N(N+1)/2 is
+     is placed.  A vertex label drops each mu that would give a completed
+     arc that label, and an arc completed at a slot drops each mu that
+     puts its label outside the arc label range or on a vertex label, or
+     every mu if its base repeats an earlier one (the forced labels are
+     distinct).  Once the vertices are placed every arc is completed, and
+     each mu left gives N distinct labels in 1..N.  Their sum N(N+1)/2 is
      sum(vl) + A * mu - sum(b_i), which rises with mu, so on a digraph
      with arcs exactly one mu is left, and it forces every arc label.
+     On the vertex side vertex v weighs vl[v] plus its in-arc labels minus
+     its out-arc labels, so mu lies in vl[v] plus a window fixed by its
+     degrees and the arc label range; V * mu is the sum of the vertex
+     labels, so it lies in the placed labels' sum plus the least to the
+     greatest sum of the labels still to place, which fixes mu at the
+     last slot; and a weakly connected component's arcs add to its weight
+     sum what they take from it, so mu is its label sum over its size.  A
+     spanning forest grown in arc order writes each tree arc's label as
+     +-sum(mu - vl[v]) over the side of the arc that lacks its
+     component's last vertex, plus a signed sum of the arcs outside the
+     forest, its free part; the form is known once that side is placed.
+     Two arcs of one free part must get distinct labels at most
+     a_hi - a_lo apart, and an arc with no free part has a forced label,
+     which must lie in a_lo..a_hi and off every vertex label.  Each of
+     these drops some mu or keeps an interval of them.  On a dicycle the
+     forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).
 
   After the vertex phase the weight sum S of the target side's k weights
   is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
@@ -257,7 +271,8 @@ class _Kernel:
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
-                 "v_reach", "isolated", "above", "automorphisms",
+                 "v_reach", "isolated", "above", "automorphisms", "mu_seed",
+                 "windows", "forms", "comps", "forced", "fq",
                  "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
@@ -311,6 +326,12 @@ class _Kernel:
                 else:
                     completes[tail].append((head, -1))
         self.completes = [tuple(c) for c in completes]
+        # bit mu + N of the mask is set while mu is feasible.  A forced arc
+        # label mu - b in 1..N needs mu in 2 - N..2N - 1, inside the 3N bits
+        # set at first; a vertex-magic mu lies in its tables' seed.
+        self.mu_seed = (1 << 3 * self.N) - 1
+        if self.vertex_magic and self.V:
+            self._vertex_magic_tables(g, in_deg, out_deg)
         # vertex-side arc-phase tables, fixed by the arc order.  reach[k] is
         # lo, hi of the tail, then of the head of arc k: the arcs of that
         # endpoint after k change its weight by lo..hi, as each adds 1..N
@@ -335,6 +356,94 @@ class _Kernel:
                                tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
             self.reach.append(window(tail) + window(head))
 
+    def _vertex_magic_tables(self, g: Digraph, in_deg: list, out_deg: list):
+        """Rule 1 tables of a vertex-magic target.
+
+        windows[s] is off_lo, off_hi, rest_lo, rest_hi: the arcs of vertex s
+        change its weight by off_lo..off_hi, and the V - 1 - s vertex
+        labels after slot s sum to rest_lo..rest_hi.  comps[s] holds the
+        weakly connected component whose last vertex is s, else (); the
+        one that ends at V - 1 is left out, as V * mu and the others' sums
+        fix its sum.
+
+        A spanning forest grown in arc order writes the label of tree arc e
+        as sign * sum(mu - vl[v] for v in side) plus a signed sum of the
+        free arcs, those outside the forest: side is the part of e's tree
+        cut off by e that lacks the component's last vertex, and sign is +1
+        if e enters it.  forms[s] lists, for each tree arc whose side ends
+        at vertex s, (e, sign, side, p, forced, pairs), with p = sign *
+        |side| the coefficient of mu, forced true iff the free part is
+        empty, and pairs the (f, p - p_f) of the arcs f of the same free
+        part written before it; a free arc is the part (f, +1) with p_f = 0.
+        forced[s] lists the (e, p) of the forced arcs written before slot s.
+        """
+        V, n, arcs = self.V, self.N, g.arcs
+        v_lo, v_hi, a_lo, a_hi = self.v_lo, self.v_hi, self.a_lo, self.a_hi
+
+        def least(d, lo):  # the least sum of d distinct labels from lo up
+            return d * lo + d * (d - 1) // 2
+
+        def most(d, hi):  # the greatest sum of d distinct labels up to hi
+            return d * hi - d * (d - 1) // 2
+
+        self.windows = [(least(in_deg[s], a_lo) - most(out_deg[s], a_hi),
+                         most(in_deg[s], a_hi) - least(out_deg[s], a_lo),
+                         least(V - 1 - s, v_lo), most(V - 1 - s, v_hi)) for s in range(V)]
+        # seed: mu inside every vertex's window, and V * mu a sum of V labels
+        lo = max([-(-least(V, v_lo) // V)] + [v_lo + w[0] for w in self.windows])
+        hi = min([most(V, v_hi) // V] + [v_hi + w[1] for w in self.windows])
+        self.mu_seed = (2 << hi + n) - (1 << lo + n) if lo <= hi else 0
+        root = list(range(V))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        free, adj, tree = [], [[] for _ in range(V)], []
+        for k, (tail, head) in enumerate(arcs):
+            a, b = find(tail), find(head)
+            if a == b:
+                free.append(k)
+                continue
+            root[a] = b
+            tree.append(k)
+            adj[tail].append((head, k))
+            adj[head].append((tail, k))
+        members = {}
+        for v in range(V):
+            members.setdefault(find(v), []).append(v)
+        self.comps = [()] * V
+        for comp in members.values():
+            if comp[-1] < V - 1:
+                self.comps[comp[-1]] = tuple(comp)
+        written = []
+        for e in tree:
+            tail, head = arcs[e]
+            side, stack = {tail}, [tail]
+            while stack:
+                for w, k in adj[stack.pop()]:
+                    if k != e and w not in side:
+                        side.add(w)
+                        stack.append(w)
+            comp = members[find(tail)]
+            if comp[-1] in side:
+                side = set(comp) - side
+            sign = 1 if head in side else -1
+            part = tuple((f, -sign if arcs[f][1] in side else sign) for f in free
+                         if (arcs[f][0] in side) != (arcs[f][1] in side))
+            written.append((max(side), e, sign, tuple(sorted(side)), part))
+        groups = {((f, 1),): [(f, 0)] for f in free}
+        self.forms = [[] for _ in range(V)]
+        for s, e, sign, side, part in sorted(written):
+            p = sign * len(side)
+            group = groups.setdefault(part, [])
+            self.forms[s].append((e, sign, side, p, not part,
+                                  tuple((f, p - pf) for f, pf in group)))
+            group.append((e, p))
+        self.forced = [tuple((e, p) for forms in self.forms[:s]
+                             for e, _, _, p, forced, _ in forms if forced) for s in range(V)]
+
     def first_labels(self) -> list[int]:
         """Slot-0 label choices, in canonical order (for branch splitting)."""
         return list(range(self.v_lo, self.v_hi + 1)) if self.V else []
@@ -354,13 +463,15 @@ class _Kernel:
         self.used = [False] * (self.N + 2)
         self.vl = [0] * self.V
         self.al = [0] * self.A
-        # rule 1 on the arc side: bit mu + N of mus is set while mu is
-        # feasible, bit b + N of bases for each base placed and bit x of
-        # vmask for each vertex label placed.  A forced label mu - b in
-        # 1..N needs mu in 2 - N..2N - 1, inside the 3N bits set at first.
-        self.mus, self.bases, self.vmask = (1 << 3 * self.N) - 1, 0, 0
+        # rule 1: mus holds the feasible mu; on the arc side bit b + N of
+        # bases is set for each base placed and bit x of vmask for each
+        # vertex label placed, and on the vertex side fq[e] is the constant
+        # of tree arc e's label once written
+        self.mus, self.bases, self.vmask = self.mu_seed, 0, 0
+        self.fq = [0] * self.A
         if self.V:
-            self._vertex_slot(0, first_label)
+            if self.mus:
+                self._vertex_slot(0, first_label)
         elif self.target.kind == "magic":
             self._leaf()  # the empty labeling: no weights, vacuously magic
         return self.count * self.automorphisms, self.wits, self.nodes, not self.stopped
@@ -373,8 +484,9 @@ class _Kernel:
         Rule 4: above the label of each base point whose basic orbit holds
         s.  Arc-magic: an arc completed here gets a label in a_lo..a_hi for
         some mu left only if its base lies within the lowest mu left minus
-        a_hi and the highest minus a_lo.  Last slot of a vertex-magic
-        target: V * mu = sum(vl) leaves one label class modulo V.
+        a_hi and the highest minus a_lo.  Vertex-magic: vertex s's weight
+        window and the bound on the remaining labels' sum meet the lowest
+        to highest mu left.
         """
         lo, hi = self.v_lo, self.v_hi
         vl = self.vl
@@ -393,8 +505,14 @@ class _Kernel:
                     lo = a
                 if b < hi:
                     hi = b
-        if s == self.V - 1 and self.vertex_magic:
-            return range(lo + (-sum(vl[:s]) - lo) % self.V, hi + 1, self.V)
+        elif self.vertex_magic:
+            mus = self.mus
+            mlo = (mus & -mus).bit_length() - 1 - self.N
+            mhi = mus.bit_length() - 1 - self.N
+            off_lo, off_hi, rest_lo, rest_hi = self.windows[s]
+            placed = sum(vl[:s])
+            lo = max(lo, mlo - off_hi, self.V * mlo - placed - rest_hi)
+            hi = min(hi, mhi - off_lo, self.V * mhi - placed - rest_lo)
         return range(lo, hi + 1)
 
     def _vertex_slot(self, s: int, only: int | None = None):
@@ -406,6 +524,9 @@ class _Kernel:
             labels = (only,) if only in labels else ()
         if self.arc_magic:
             self._vertex_slot_arc_magic(s, labels)
+            return
+        if self.vertex_magic:
+            self._vertex_slot_vertex_magic(s, labels)
             return
         vl, used = self.vl, self.used
         for lab in labels:
@@ -450,14 +571,98 @@ class _Kernel:
                 break
         self.mus, self.bases, self.vmask = mus, bases, vmask
 
+    def _vertex_slot_vertex_magic(self, s: int, labels):
+        """Vertex-magic slot (rule 1): label x keeps the mu left inside x
+        plus vertex s's weight window and inside the bound from the
+        remaining labels' sum, and drops each mu that puts a forced arc
+        written before s on x; _settle adds what becomes known at s."""
+        vl, used, n, V = self.vl, self.used, self.N, self.V
+        mus, fq, forced = self.mus, self.fq, self.forced[s]
+        off_lo, off_hi, rest_lo, rest_hi = self.windows[s]
+        settle = self.forms[s] or self.comps[s]
+        placed = sum(vl[:s])
+        for x in labels:
+            if used[x]:
+                continue
+            # lo >= 1, as the labels sum to at least 1; unrolled: max() and
+            # min() cost more
+            lo, hi = x + off_lo, x + off_hi
+            a = -(-(placed + x + rest_lo) // V)
+            if a > lo:
+                lo = a
+            a = (placed + x + rest_hi) // V
+            if a < hi:
+                hi = a
+            if lo > hi:
+                continue
+            m = mus & (2 << hi + n) - (1 << lo + n)
+            for e, p in forced:
+                mu, r = divmod(x - fq[e], p)
+                if not r and lo <= mu <= hi:
+                    m &= ~(1 << mu + n)
+            vl[s] = x
+            used[x] = True
+            if settle and m:
+                m = self._settle(s, m)
+            if not m:
+                used[x] = False
+                continue
+            self.mus = m
+            self.nodes += 1
+            self._vertex_slot(s + 1)
+            used[x] = False
+            if self.stopped:
+                break
+        self.mus = mus
+
+    def _settle(self, s: int, m: int) -> int:
+        """m narrowed by what vertex slot s makes known (rule 1): the sum of
+        a component that ends at s, and the tree arcs written at s.  Each
+        mu left must give two arcs of one free part labels that differ, by
+        at most a_hi - a_lo, and a forced arc an unused label in
+        a_lo..a_hi; vertex s is marked used already."""
+        vl, n, fq, used = self.vl, self.N, self.fq, self.used
+        comp = self.comps[s]
+        if comp:
+            mu, r = divmod(sum([vl[v] for v in comp]), len(comp))
+            if r:
+                return 0
+            m &= 1 << mu + n
+        forms = self.forms[s]
+        for e, sign, side, _, _, _ in forms:
+            fq[e] = -sign * sum([vl[v] for v in side])
+        a_lo, a_hi = self.a_lo, self.a_hi
+        span = a_hi - a_lo
+        left = m
+        while left:
+            bit = left & -left
+            left ^= bit
+            mu = bit.bit_length() - 1 - n
+            for e, _, _, p, forced, pairs in forms:
+                q = fq[e]
+                lab = p * mu + q
+                if forced and (lab < a_lo or lab > a_hi or used[lab]):
+                    break
+                for f, dp in pairs:
+                    d = dp * mu + q - fq[f]
+                    if not d or d > span or d < -span:
+                        break
+                else:
+                    continue
+                break
+            else:
+                continue
+            m ^= bit
+        return m
+
     def _boundary(self):
         """All vertex labels placed; set up the arc phase.
 
-        Rule 1 has settled an arc-magic target.  For any other the weight
-        sum S of the target side is now fixed, and with it the candidate
-        progressions (a, d, top): the one-term span (mu, 0, mu) of a
-        vertex-magic target, those of rule 2 for an arithmetic target, None
-        for an antimagic one.
+        Rule 1 has settled an arc-magic target, and left a vertex-magic one
+        the one mu = sum(vl) / V.  For any other the weight sum S of the
+        target side is now fixed, and with it the candidate progressions
+        (a, d, top): the one-term span (mu, 0, mu) of a vertex-magic target,
+        those of rule 2 for an arithmetic target, None for an antimagic one.
         """
         if self.arc_magic:
             self._arcs_arc_magic()
@@ -473,7 +678,7 @@ class _Kernel:
         s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
         cands = None
         if t.kind == "magic":
-            mu = s // k  # exact: the last vertex slot kept V * mu = sum(vl)
+            mu = s // k  # exact: rule 1 kept V * mu = sum(vl)
             cands = [(mu, 0, mu)]
         elif t.kind == "arithmetic":
             if arc:

@@ -1,13 +1,18 @@
 """Pruning rules of the search kernel against the reference enumerator.
 
-The magic rule keeps the magic constants that the labels placed so far
-allow: on the vertex side the last vertex slot keeps V * mu = sum(vl),
-and on the arc side a bitmask of feasible mu drops every mu that would
-force an arc label outside the label range, onto a placed label or onto
-another arc's label, which leaves exactly one mu once the vertices are
-placed.  Distinctness targets cut duplicate weights as soon as they are
-fixed, and arithmetic targets keep only the progressions that the fixed
-weight sum allows and that every fixed weight is a term of.  On the
+The magic rule keeps, as a bitmask, the magic constants that the labels
+placed so far allow.  On the arc side it drops every mu that would force
+an arc label outside the label range, onto a placed label or onto another
+arc's label, which leaves exactly one mu once the vertices are placed.  On
+the vertex side each vertex keeps the mu inside its weight window and the
+bound from the remaining labels' sum, a component's last vertex fixes mu
+by the component's label sum, and the tree arcs of a spanning forest,
+written as soon as their side is placed, drop every mu that gives two arcs
+of one free part equal labels or labels too far apart, or a forced arc a
+label outside the label range or on a vertex label.  Distinctness
+targets cut duplicate weights as soon as they are fixed, and arithmetic
+targets keep only the progressions that the fixed weight sum allows and
+that every fixed weight is a term of.  On the
 vertex side magic and arithmetic targets keep each vertex able to reach
 the widest candidate progression, the one term mu for a magic target.  The
 pruned kernel must agree with the reference enumerator on random digraphs
@@ -105,6 +110,10 @@ def examples(*cases):
     (Digraph(3, ()), Target("vertex", "arithmetic")),
     (Digraph(3, ()), Target("vertex", "antimagic")),
     (Digraph(3, ((0, 1),)), Target("vertex", "arithmetic", a=1)),
+    # two components and one free arc: without the first component's sum
+    # the vertex phase passed vl (4, 1, 6, 7, 2), which with al (8, 5, 3)
+    # meets every arc form, though vertices 2 and 4 weigh 3 and 5, not mu = 4
+    (Digraph(5, ((2, 1), (1, 2), (3, 4))), Target("vertex", "magic")),
 )
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, pool):
     q = SearchQuery(graph, target, require_strong=strong,
@@ -142,23 +151,43 @@ def test_arc_magic_witnesses_obey_mu_bounds(graph):
         assert bounds.contains(classify(graph, w).arc_verdict.mu)
 
 
-@pytest.mark.parametrize("family,n,kw,side,kind,nodes,solutions", [
-    ("tadpole", 3, {"t": 3}, "arc", "magic", 6328, 4),
-    ("star", 5, {"orientation": "out"}, "arc", "magic", 3126, 11520),
-    ("star", 3, {}, "vertex", "magic", 190, 0),
-    ("cycle", 4, {}, "vertex", "arithmetic", 7511, 816),
-    ("cycle", 4, {}, "arc", "antimagic", 23494, 30912),
-    ("path", 5, {"orientation": "forward"}, "arc", "arithmetic", 58179, 5048),
-    pytest.param("cycle", 5, {}, "vertex", ("arithmetic", 1, 1), 9392, 720,
-                 id="cycle-5-kw6-vertex-arithmetic-a1-d1-9392-720"),
-    ("tadpole", 3, {"t": 2}, "vertex", "magic", 40786, 13),
-    ("cycle", 6, {}, "vertex", "magic", 126363, 0),
-    ("path", 5, {"orientation": "alternating"}, "arc", "magic", 1935, 96),
-    ("tadpole", 3, {"t": 2}, "arc", "magic", 904, 0),
+def pin(name, graph, target, nodes, solutions, mode="count-all"):
+    """A pinned row; its id names the instance and leaves the counts out,
+    so a re-pin keeps the test's name."""
+    return pytest.param(SearchQuery(graph, target, mode=mode), nodes, solutions, id=name)
+
+
+SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
+
+
+@pytest.mark.parametrize("query,nodes,solutions", [
+    pin("tadpole-3-3-saml", build_family("tadpole", 3, t=3), SAML, 6328, 4),
+    pin("star-5-out-saml", build_family("star", 5, orientation="out"), SAML, 3126, 11520),
+    pin("star-3-svml", build_family("star", 3), SVML, 0, 0),
+    pin("cycle-4-sv-al", build_family("cycle", 4), Target("vertex", "arithmetic"), 7511, 816),
+    pin("cycle-4-saal", build_family("cycle", 4), Target("arc", "antimagic"), 23494, 30912),
+    pin("path-5-forward-sa-al", build_family("path", 5, orientation="forward"),
+        Target("arc", "arithmetic"), 58179, 5048),
+    pin("cycle-5-sv-al-a1-d1", build_family("cycle", 5), Target("vertex", "arithmetic", 1, 1),
+        9392, 720),
+    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 2413, 13),
+    pin("cycle-6-svml", build_family("cycle", 6), SVML, 22209, 0),
+    pin("path-5-alternating-saml", build_family("path", 5, orientation="alternating"), SAML,
+        1935, 96),
+    pin("tadpole-3-2-saml", build_family("tadpole", 3, t=2), SAML, 904, 0),
+    pin("path-6-svml", build_family("path", 6), SVML, 363, 0),
+    pin("star-5-in-svml", build_family("star", 5, orientation="in"), SVML, 0, 0),
+    pin("wheel-4-svml", build_family("wheel", 4), SVML, 0, 0),
+    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 15324, 25),
+    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 439, 1,
+        mode="first-witness"),
+    # the sum of the first component fixes mu at its last vertex: 191
+    # nodes without that cut
+    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 75, 0),
 ])
-def test_pinned_node_counts(family, n, kw, side, kind, nodes, solutions):
-    target = Target(side, *kind) if isinstance(kind, tuple) else Target(side, kind)
-    report = search(SearchQuery(build_family(family, n, **kw), target))
+def test_pinned_node_counts(query, nodes, solutions):
+    # wheel(4) has 13 labels, over the default cap
+    report = search(query, cap=13)
     assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
 
 
