@@ -86,6 +86,26 @@ Two enumerators produce the same results:
      lex-first witnesses, which need not be canonical, so they walk every
      labeling.
 
+  The dual x -> N+1-x maps an arc weight w to N+1-w, and a vertex weight
+  to (N+1)(1 + in(v) - out(v)) - w, which is N+1-w when every vertex has
+  in-degree equal to out-degree.  So on the arc side, and on the vertex
+  side of such a digraph, it keeps the target class and a pinned d, though
+  not a pinned a (it maps a..top to N+1-top..N+1-a) nor the strong flags.
+  It commutes with every automorphism, so it maps Aut-orbits of solutions
+  to Aut-orbits.  Let P be the orbit of vertex 0 under Aut, the first
+  basic orbit if the base starts at 0, else {0}, and F the least plus the
+  greatest label on P.  F is the same on a whole orbit, the dual maps it
+  to 2(N+1) - F, and on the canonical labeling of rule 4 it is vl[0] plus
+  the greatest label on P.  The orbits with F < N+1 thus pair off with
+  those with F > N+1, and the count is |Aut| times twice the canonical
+  solutions with F < N+1 plus those with F = N+1:
+
+  5. dual cut: in a count-all search with neither a pinned a nor a strong
+     flag, on the arc side or on a digraph whose vertices all have
+     in-degree equal to out-degree, every vertex of P, 0 included, gets a
+     label at most N+1 - vl[0], and a leaf counts 2 if F < N+1 and 1 if
+     F = N+1.
+
   How far each endpoint's weight can still move, and which vertex weights
   an arc settles, depend only on the arc order, so they are tabled once
   per kernel.  The vertex phase and the arc-side loops count a node only
@@ -211,9 +231,11 @@ class SearchReport:
     `exhaustive` is true iff the whole space was covered; count-all runs
     are always exhaustive, witness-bounded runs stop early once the bound
     is reached.  `automorphisms` is the order of the graph's automorphism
-    group that a pruned count-all search multiplied its canonical count by,
-    and 1 for every other search.  Every field but `elapsed` is the same at
-    any worker count.
+    group, a factor of a pruned count-all search's count, and 1 for every
+    other search.  `dual` is true iff such a search also left out the dual
+    orbits (rule 5): its count is then `automorphisms` times the canonical
+    labelings kept, most of them counted twice.  Every field but `elapsed`
+    is the same at any worker count.
     """
 
     query: SearchQuery
@@ -222,6 +244,7 @@ class SearchReport:
     witnesses: list[TotalLabeling]
     nodes_visited: int
     automorphisms: int
+    dual: bool
     elapsed: float
 
     def to_dict(self) -> dict:
@@ -253,6 +276,7 @@ class SearchReport:
             ],
             "nodes_visited": self.nodes_visited,
             "automorphisms": self.automorphisms,
+            "dual": self.dual,
             "elapsed": self.elapsed,
         }
 
@@ -271,9 +295,9 @@ class _Kernel:
     __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
-                 "v_reach", "isolated", "above", "automorphisms", "mu_seed",
+                 "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
                  "windows", "forms", "comps", "forced", "fq",
-                 "count", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
+                 "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
     def __init__(self, query: SearchQuery):
@@ -299,14 +323,21 @@ class _Kernel:
         self.a_lo, self.a_hi = a_lo, a_hi
         t = query.target
         # rule 4, count-all only: above[s] lists the base points whose
-        # basic orbit holds vertex s; each must get a smaller label than s
+        # basic orbit holds vertex s; each must get a smaller label than s.
+        # Rule 5: mirror is P, vertex 0's orbit (the first basic orbit if
+        # the base starts at 0), when the dual keeps the target class, else ()
         above = [[] for _ in range(self.V)]
         self.automorphisms = 1
+        self.mirror = ()
         if not query.witness_cap:
-            for b, orbit in g.automorphism_base():
+            base = g.automorphism_base()
+            for b, orbit in base:
                 self.automorphisms *= len(orbit)
                 for s in orbit[1:]:
                     above[s].append(b)
+            if self.V and t.a is None and not (query.require_strong or query.require_strong_star) \
+                    and (t.side == "arc" or in_deg == out_deg):
+                self.mirror = base[0][1] if base and base[0][0] == 0 else (0,)
         self.above = [tuple(a) for a in above]
         # the arc weights sum to total - sum(coef[v] * vl[v])
         self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
@@ -445,17 +476,21 @@ class _Kernel:
                              for e, _, _, p, forced, _ in forms if forced) for s in range(V)]
 
     def first_labels(self) -> list[int]:
-        """Slot-0 label choices, in canonical order (for branch splitting)."""
-        return list(range(self.v_lo, self.v_hi + 1)) if self.V else []
+        """Slot-0 label choices, in canonical order (for branch splitting);
+        rule 5 leaves vl[0] at most (N + 1) // 2."""
+        hi = (self.N + 1) // 2 if self.mirror else self.v_hi
+        return list(range(self.v_lo, hi + 1)) if self.V else []
 
     def run(self, first_label: int | None = None):
         """Explore the tree (or the branch under first_label).
 
         Returns (count, witnesses, nodes, completed) where completed is
         False iff the run stopped early at its witness bound.  count is the
-        number of canonical labelings times the automorphism group order.
+        number of canonical labelings, those of rule 5 with F < N+1 twice,
+        times the automorphism group order.
         """
         self.count = 0
+        self.weight = 1
         self.nodes = 0
         self.wits: list[TotalLabeling] = []
         self.stopped = False
@@ -493,6 +528,11 @@ class _Kernel:
         for b in self.above[s]:
             if vl[b] >= lo:
                 lo = vl[b] + 1
+        if s in self.mirror:
+            # rule 5: vl[0] + vl[s] <= N + 1, so vl[0] <= (N + 1) // 2
+            x = self.N + 1 - vl[0] if s else (self.N + 1) // 2
+            if x < hi:
+                hi = x
         if self.completes[s]:
             mus = self.mus
             blo = (mus & -mus).bit_length() - 1 - self.N - self.a_hi
@@ -664,11 +704,15 @@ class _Kernel:
         (a, d, top): the one-term span (mu, 0, mu) of a vertex-magic target,
         those of rule 2 for an arithmetic target, None for an antimagic one.
         """
+        vl = self.vl
+        if self.mirror:
+            # rule 5: F is vl[0] plus the greatest label on P, at most N + 1
+            f = vl[0] + max([vl[v] for v in self.mirror])
+            self.weight = 1 if f == self.N + 1 else 2
         if self.arc_magic:
             self._arcs_arc_magic()
             return
         t = self.target
-        vl = self.vl
         arc = t.side == "arc"
         k = self.A if arc else self.V
         if k < 2 and t.kind != "magic":
@@ -840,8 +884,9 @@ class _Kernel:
 
     def _leaf(self):
         """Every weight was checked on the way down, so the labeling is in
-        the target class: count it and keep it as a witness."""
-        self.count += 1
+        the target class: count it, with the weight of rule 5 that
+        _boundary set, and keep it as a witness."""
+        self.count += self.weight
         if self.cap:
             self.wits.append(TotalLabeling(tuple(self.vl), tuple(self.al)))
             if self.count >= self.cap:
@@ -890,7 +935,10 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     Refuses graphs with more than `cap` labels (default 12); pass a larger
     cap to override.  A pruned count-all search counts one labeling per
     orbit of the graph's automorphism group and reports the group order,
-    the factor of its count, as `automorphisms`.  `workers` > 1 splits
+    a factor of its count, as `automorphisms`; where the dual keeps the
+    target class it also leaves out the dual orbits, counts the orbits it
+    keeps twice where their dual is left out, and reports `dual` true
+    (rule 5 of the module docstring).  `workers` > 1 splits
     the top-level branches of a count-all search over a process pool and
     merges them in canonical order, so the report, node count included,
     is the single-worker one.
@@ -911,7 +959,7 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
             f"raise the cap to force the search")
     started = time.perf_counter()
     if not pruned:
-        return _report(query, [_reference(query)], 1, started)
+        return _report(query, [_reference(query)], None, started)
     kernel = _Kernel(query)
     if workers == 1 or query.witness_cap or n == 0:
         results = [kernel.run()]
@@ -922,19 +970,21 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
         payloads = [(query, lab) for lab in kernel.first_labels()]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_task, payloads))
-    return _report(query, results, kernel.automorphisms, started)
+    return _report(query, results, kernel, started)
 
 
-def _report(query: SearchQuery, results: list, automorphisms: int,
+def _report(query: SearchQuery, results: list, kernel: _Kernel | None,
             started: float) -> SearchReport:
     """Merge the run() results of the branches, in canonical order; each
-    count is already multiplied by `automorphisms`."""
+    count is already multiplied by the kernel's `automorphisms`.  kernel is
+    None for the reference enumerator."""
     return SearchReport(
         query=query,
         exhaustive=all(r[3] for r in results),
         solutions_found=sum(r[0] for r in results),
         witnesses=[w for r in results for w in r[1]],
         nodes_visited=sum(r[2] for r in results),
-        automorphisms=automorphisms,
+        automorphisms=kernel.automorphisms if kernel else 1,
+        dual=bool(kernel and kernel.mirror),
         elapsed=time.perf_counter() - started,
     )

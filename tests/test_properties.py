@@ -3,7 +3,10 @@
 The arc-weight identity is the one the search kernel rests on: once the
 vertex labels are placed, it fixes the sum of the arc weights, and with it
 the arc-magic constant and the candidate progressions of an arithmetic
-target.  The vertex-weight identity does the same for the vertex side."""
+target.  The vertex-weight identity does the same for the vertex side.  The
+dual's weights are the reflection that the kernel's dual cut rests on: it
+keeps the arc-side classes, and the vertex-side ones where every vertex has
+in-degree equal to out-degree."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +67,18 @@ def test_arc_weights_sum_follows_from_the_vertex_labels(case):
 def test_dual_is_an_involution(case):
     g, l = case
     assert dual(g, dual(g, l)) == l
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled())
+def test_dual_reflects_every_weight(case):
+    g, l = case
+    n1 = g.label_count + 1
+    indeg, outdeg = g.in_degrees(), g.out_degrees()
+    weights, dual_weights = weight_profile(g, l), weight_profile(g, dual(g, l))
+    assert dual_weights.arc_weights == tuple(n1 - w for w in weights.arc_weights)
+    assert dual_weights.vertex_weights == tuple(
+        n1 * (1 + indeg[v] - outdeg[v]) - w for v, w in enumerate(weights.vertex_weights))
 
 
 @st.composite
