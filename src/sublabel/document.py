@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .digraph import Digraph, ParameterError, build_family
 from .labeling import TotalLabeling, weight_profile
@@ -26,6 +27,16 @@ class DocumentError(ValueError):
     """The document is malformed or inconsistent."""
 
 
+# one [tail, head] pair as json.dumps(indent=2) writes it inside the arcs list
+_ARC = "[\n      %d,\n      %d\n    ]"
+
+
+def _json_array(item: str, count: int, values: tuple) -> str:
+    """A non-empty top-level array of count items as json.dumps(indent=2)
+    writes it, from one template of count copies of item filled by values."""
+    return ("[\n    " + (item + ",\n    ") * (count - 1) + item + "\n  ]") % values
+
+
 @dataclass(frozen=True)
 class LabelingDocument:
     graph: Digraph
@@ -33,23 +44,48 @@ class LabelingDocument:
     classification: dict | None = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        d: dict = {"format_version": FORMAT_VERSION}
+    def _items(self):
+        """The document's (key, value) pairs in the order it is written;
+        the arcs, labels and notes are the stored tuples."""
+        yield "format_version", FORMAT_VERSION
         if self.graph.family is not None:
-            d["family"] = self.graph.family.to_dict()
-        d["vertex_count"] = self.graph.vertex_count
-        d["arcs"] = [list(a) for a in self.graph.arcs]
+            yield "family", self.graph.family.to_dict()
+        yield "vertex_count", self.graph.vertex_count
+        yield "arcs", self.graph.arcs
         if self.labeling is not None:
-            d["vertex_labels"] = list(self.labeling.vertex_labels)
-            d["arc_labels"] = list(self.labeling.arc_labels)
+            yield "vertex_labels", self.labeling.vertex_labels
+            yield "arc_labels", self.labeling.arc_labels
         if self.classification is not None:
-            d["classification"] = self.classification
+            yield "classification", self.classification
         if self.notes:
-            d["notes"] = list(self.notes)
+            yield "notes", self.notes
+
+    def to_dict(self) -> dict:
+        d = {}
+        for key, value in self._items():
+            if key == "arcs":
+                value = [list(a) for a in value]
+            elif key in ("vertex_labels", "arc_labels", "notes"):
+                value = list(value)
+            d[key] = value
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Exactly json.dumps(self.to_dict(), indent=2) + "\n".
+
+        json.dumps hands any indent to its pure-Python encoder, so the
+        three large arrays are written here, each with one %-template;
+        the small values still go through json.dumps, one level deeper."""
+        parts = []
+        for key, value in self._items():
+            if key == "arcs" and value:
+                text = _json_array(_ARC, len(value), tuple(chain.from_iterable(value)))
+            elif key in ("vertex_labels", "arc_labels") and value:
+                text = _json_array("%d", len(value), value)
+            else:  # json.dumps escapes a newline in a string, so each \n starts a line
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            parts.append(f'  "{key}": {text}')
+        return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 # JSON integers are checked with `type(x) is int`: a bool is an int
@@ -81,11 +117,9 @@ def from_dict(d: dict) -> LabelingDocument:
     arcs = d["arcs"]
     if not isinstance(arcs, list):
         raise DocumentError("arcs must be a list of [tail, head] pairs")
-    parsed_arcs = []
     for a in arcs:
         if not (isinstance(a, list) and len(a) == 2 and type(a[0]) is int and type(a[1]) is int):
             raise DocumentError(f"bad arc entry {a!r}; expected [tail, head]")
-        parsed_arcs.append((a[0], a[1]))
 
     fd = d.get("family")
     if fd is not None:
@@ -99,11 +133,12 @@ def from_dict(d: dict) -> LabelingDocument:
             raise DocumentError(f"bad family block: {exc}") from exc
         # once it matches them, the graph build_family checked stands for
         # the stored arcs, and they are not checked a second time
-        if graph.vertex_count != d["vertex_count"] or list(graph.arcs) != parsed_arcs:
+        if (graph.vertex_count != d["vertex_count"] or len(graph.arcs) != len(arcs)
+                or any(a[0] != t or a[1] != h for a, (t, h) in zip(arcs, graph.arcs))):
             raise DocumentError("family block does not match the stored arcs")
     else:
         try:
-            graph = Digraph(d["vertex_count"], tuple(parsed_arcs))
+            graph = Digraph(d["vertex_count"], tuple(map(tuple, arcs)))
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
 

@@ -128,8 +128,10 @@ def validate_labeling(g: Digraph, l: TotalLabeling):
     if len(l.arc_labels) != g.arc_count:
         raise BijectionError(
             f"expected {g.arc_count} arc labels, got {len(l.arc_labels)}")
+    # n distinct integers, all within 1..n, are exactly 1..n
     n = g.label_count
-    if sorted(l.vertex_labels + l.arc_labels) != list(range(1, n + 1)):
+    labels = l.vertex_labels + l.arc_labels
+    if len(set(labels)) != n or min(labels, default=1) < 1 or max(labels, default=n) > n:
         raise BijectionError(f"labels not a bijection onto 1..{n}")
 
 
@@ -153,13 +155,12 @@ def weight_profile(g: Digraph, l: TotalLabeling) -> WeightProfile:
     """All arc and vertex weights, in storage order."""
     validate_labeling(g, l)
     vl, al = l.vertex_labels, l.arc_labels
-    aw = []
+    aw = tuple([a + vl[h] - vl[t] for (t, h), a in zip(g.arcs, al)])
     vw = list(vl)
-    for i, (t, h) in enumerate(g.arcs):
-        aw.append(al[i] + vl[h] - vl[t])
-        vw[h] += al[i]
-        vw[t] -= al[i]
-    return WeightProfile(tuple(aw), tuple(vw))
+    for (t, h), a in zip(g.arcs, al):
+        vw[h] += a
+        vw[t] -= a
+    return WeightProfile(aw, tuple(vw))
 
 
 def verdict_of(weights: Sequence[int]) -> Verdict:
@@ -183,11 +184,13 @@ def classify(g: Digraph, l: TotalLabeling) -> Classification:
     """Full classification of a labeling: per-side verdicts plus the
     strong (vertex labels = {1..|V|}) and strong* (arc labels = {1..|A|}) flags."""
     profile = weight_profile(g, l)
+    # the labels are a bijection onto 1..N, so a side's labels are exactly
+    # 1..k when none of its k labels exceeds k
     return Classification(
         arc_verdict=verdict_of(profile.arc_weights),
         vertex_verdict=verdict_of(profile.vertex_weights),
-        strong=sorted(l.vertex_labels) == list(range(1, g.vertex_count + 1)),
-        strong_star=sorted(l.arc_labels) == list(range(1, g.arc_count + 1)),
+        strong=max(l.vertex_labels, default=0) <= g.vertex_count,
+        strong_star=max(l.arc_labels, default=0) <= g.arc_count,
     )
 
 

@@ -1,5 +1,7 @@
 """Document serialization round trips and DOT rendering."""
 
+import json
+
 import pytest
 
 from sublabel import (Digraph, DocumentError, LabelingDocument, ParameterError,
@@ -61,6 +63,13 @@ def test_negative_weights_render():
     assert "(w=0)" in to_dot(doc)
 
 
+def _tadpole_document(arcs) -> str:
+    """tadpole(3, 2), whose arcs are [[0, 1], [1, 2], [2, 0], [3, 4], [4, 0]],
+    stored with the given arcs."""
+    return json.dumps({"format_version": 1, "family": {"name": "tadpole", "n": 3, "t": 2},
+                       "vertex_count": 5, "arcs": arcs})
+
+
 @pytest.mark.parametrize("text,hint", [
     ("{", "JSON"),
     ('{"format_version": 2, "vertex_count": 1, "arcs": []}', "format_version"),
@@ -92,6 +101,14 @@ def test_negative_weights_render():
     ('{"format_version": 1, "vertex_count": 2, "arcs": [[0, 1]], '
      '"family": {"name": "star", "n": 1, "orientation": "out", "orientaton": "in"}}',
      "unknown key 'orientaton' in the family block"),
+    # the stored arcs of tadpole(3, 2) against its family block, compared
+    # pair by pair after the lengths
+    *(pytest.param(_tadpole_document(arcs), "does not match", id=name) for name, arcs in [
+        ("arcs-one-longer", [[0, 1], [1, 2], [2, 0], [3, 4], [4, 0], [1, 0]]),
+        ("arcs-one-shorter", [[0, 1], [1, 2], [2, 0], [3, 4]]),
+        ("arcs-middle-changed", [[0, 1], [1, 2], [2, 1], [3, 4], [4, 0]]),
+        ("arcs-tail-head-swapped", [[0, 1], [1, 2], [0, 2], [3, 4], [4, 0]]),
+    ]),
 ])
 def test_malformed_documents_rejected(text, hint):
     with pytest.raises(DocumentError, match=hint):

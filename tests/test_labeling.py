@@ -105,6 +105,9 @@ def test_index_out_of_range():
     ((1, 2, 3), (4, 5, 7)),         # label out of range
     ((0, 2, 3), (4, 5, 6)),         # zero label
     ((1, 2), (3, 4, 5)),            # wrong vertex count
+    ((1, 2, 3), (4, 5, -6)),        # negative label
+    ((7, 2, 3), (4, 5, 6)),         # N + 1 in place of 1
+    ((), ()),                       # no labels at all
 ])
 def test_bijection_violations_rejected(vl, al):
     with pytest.raises(BijectionError):
