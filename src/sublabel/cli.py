@@ -185,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help=f"most labels a graph may have to be searched (default {DEFAULT_CAP})")
     s.add_argument("--workers", type=int, default=1,
-                   help="processes to split the top-level branches of a count-all search "
-                        "over (at least 1); the witness modes run in one process")
+                   help="processes to split the first-label branches of a count-all search "
+                        "over (at least 1): this one and K-1 forked from it, POSIX only; "
+                        "the witness modes run in one process")
     s.set_defaults(func=_cmd_search)
 
     e = sub.add_parser("export", help="render a document as DOT or JSON")

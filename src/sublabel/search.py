@@ -129,6 +129,7 @@ antimagic targets, and CI checks each of its node counts.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -893,11 +894,6 @@ class _Kernel:
                 self.stopped = True
 
 
-def _branch_task(payload):
-    query, label = payload
-    return _Kernel(query).run(first_label=label)
-
-
 def _reference(query: SearchQuery):
     """The oracle: every permutation of 1..N in slot order (vertices, then
     arcs), filtered through classify.  Returns the tuple of _Kernel.run.
@@ -938,10 +934,12 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     a factor of its count, as `automorphisms`; where the dual keeps the
     target class it also leaves out the dual orbits, counts the orbits it
     keeps twice where their dual is left out, and reports `dual` true
-    (rule 5 of the module docstring).  `workers` > 1 splits
-    the top-level branches of a count-all search over a process pool and
-    merges them in canonical order, so the report, node count included,
-    is the single-worker one.
+    (rule 5 of the module docstring).  `workers` > 1 splits the
+    first-label branches of a count-all search between this process and
+    up to `workers` - 1 children forked from it, which share the kernel
+    built here, and merges them in first-label order, so the report, node
+    count included, is the single-worker one.  It needs `os.fork` (POSIX);
+    elsewhere `workers` > 1 raises ValueError.
     A query with a witness bound (first-witness, collect-up-to) runs one
     kernel in this process whatever `workers` is, so it stops at its bound
     exactly where a single worker does.  `pruned=False` runs the reference
@@ -952,6 +950,9 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     _require_int(cap, "cap")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; "
+                         f"use workers=1")
     n = query.graph.label_count
     if n > cap:
         raise SearchCapError(
@@ -964,20 +965,84 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     if workers == 1 or query.witness_cap or n == 0:
         results = [kernel.run()]
     else:
-        # imported here: the costliest import of the package, and only the pool uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(query, lab) for lab in kernel.first_labels()]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_branch_task, payloads))
+        results = _split(kernel, workers)
     return _report(query, results, kernel, started)
+
+
+def _split(kernel: _Kernel, workers: int) -> list:
+    """The run() results of a count-all search's first-label branches, in
+    first-label order, from the caller and up to workers - 1 forked
+    children.  Rank r runs labels[r::workers]; the caller is rank 0.
+
+    Each child inherits the kernel, so nothing is pickled or built again,
+    and sends back its (count, nodes) pairs as text on its own pipe.  A
+    child that fails, or sends the wrong number of values, makes this raise
+    RuntimeError; on any exception, KeyboardInterrupt included, every child
+    still running is killed and reaped before it propagates.
+    """
+    from signal import SIGKILL  # imported here: only the split uses it
+
+    labels = kernel.first_labels()
+    shares = [labels[r::workers] for r in range(min(workers, len(labels)))]
+    running, reads = {}, []
+    try:
+        for rank in range(1, len(shares)):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(kernel, shares[rank], write)
+            finally:
+                os.close(write)  # before the next fork, so each pipe has one writer
+            running[rank] = pid
+        results = [[kernel.run(lab) for lab in shares[0]]] if shares else []
+        for rank in range(1, len(shares)):
+            chunks = []
+            while chunk := os.read(reads[rank - 1], 1 << 16):
+                chunks.append(chunk)
+            text = b"".join(chunks).decode()
+            status = os.waitstatus_to_exitcode(os.waitpid(running[rank], 0)[1])
+            del running[rank]
+            values = text.split()
+            if status or len(values) != 2 * len(shares[rank]):
+                raise RuntimeError(f"search worker {rank} of {len(shares)} failed "
+                                   f"(exit status {status}): {text.strip() or 'no output'}")
+            it = map(int, values)
+            results.append([(count, [], nodes, True) for count, nodes in zip(it, it)])
+    finally:
+        for pid in running.values():
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+    return [results[i % workers][i // workers] for i in range(len(labels))]
+
+
+def _child(kernel: _Kernel, labels: list, write: int):
+    """A forked worker: run the branches under labels, write their
+    (count, nodes) pairs, or the exception, to the pipe, and leave through
+    os._exit, so that it never returns into the caller's code nor flushes
+    the caller's stdio buffers."""
+    code = 1
+    try:
+        try:
+            text = "".join(f"{count} {nodes}\n" for count, _, nodes, _ in map(kernel.run, labels))
+            code = 0
+        except BaseException as exc:  # reported by the caller as this worker's failure
+            text = f"{type(exc).__name__}: {exc}"
+        with open(write, "w") as pipe:
+            pipe.write(text)
+    finally:
+        os._exit(code)
 
 
 def _report(query: SearchQuery, results: list, kernel: _Kernel | None,
             started: float) -> SearchReport:
-    """Merge the run() results of the branches, in canonical order; each
-    count is already multiplied by the kernel's `automorphisms`.  kernel is
-    None for the reference enumerator."""
+    """Merge the run() results of the whole tree, or of the first-label
+    branches in first-label order as _split returns them; each count is
+    already multiplied by the kernel's `automorphisms`.  kernel is None for
+    the reference enumerator."""
     return SearchReport(
         query=query,
         exhaustive=all(r[3] for r in results),

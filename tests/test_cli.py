@@ -404,6 +404,16 @@ def test_search_rejects_bad_target_and_worker_options(capsys, extra, message):
     assert message in err
 
 
+def test_search_workers_without_fork_exit_2(capsys, monkeypatch):
+    import os
+    monkeypatch.delattr(os, "fork")
+    code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3",
+                            "--class", "saal", "--workers", "2")
+    assert code == 2
+    assert stdout == ""
+    assert "needs os.fork" in err
+
+
 def test_closed_stdout_ends_quietly_with_exit_141():
     import os
     import subprocess

@@ -1,11 +1,13 @@
 """Exhaustive-search kernel: exact counts, pruning soundness, determinism."""
 
 import json
+import os
 
 import pytest
 
 from sublabel import (SearchCapError, SearchQuery, Target, TotalLabeling,
                       build_family, classify, construct, search)
+from sublabel.search import _Kernel
 
 ALL_TARGETS = [Target(side, kind)
                for side in ("arc", "vertex")
@@ -182,6 +184,78 @@ def test_workers_preserve_witness_order():
     g = build_family("cycle", 3)
     q = SearchQuery(g, Target("arc", "antimagic"), mode="collect-up-to", limit=9)
     assert search(q, workers=1).witnesses == search(q, workers=2).witnesses
+
+
+def assert_no_child_left():
+    """Every forked worker has exited and been reaped: no child, no zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("family,n,target,first_labels", [
+    ("cycle", 4, Target("arc", "antimagic"), 4),
+    ("star", 3, Target("vertex", "magic"), 7),
+    # fewer first labels than workers: one child, not two
+    ("path", 2, Target("arc", "magic"), 2),
+])
+def test_split_leaves_no_child(family, n, target, first_labels, workers, monkeypatch):
+    q = SearchQuery(build_family(family, n), target)
+    assert len(_Kernel(q).first_labels()) == first_labels
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    one = search(q).to_dict()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    many = search(q, workers=workers).to_dict()
+    del one["elapsed"], many["elapsed"]
+    assert many == one
+    assert len(forks) == min(workers, first_labels) - 1
+    assert_no_child_left()
+
+
+def test_split_caller_interrupt_kills_its_children(monkeypatch):
+    caller, run = os.getpid(), _Kernel.run
+
+    def interrupted_here(self, first_label=None):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return run(self, first_label)
+
+    monkeypatch.setattr(_Kernel, "run", interrupted_here)
+    q = SearchQuery(build_family("cycle", 5), Target("arc", "antimagic"))
+    with pytest.raises(KeyboardInterrupt):
+        search(q, workers=3)
+    assert_no_child_left()
+
+
+def test_split_child_failure_raises_and_never_returns_a_short_count(monkeypatch):
+    caller, run = os.getpid(), _Kernel.run
+
+    def fails_in_a_child(self, first_label=None):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("branch failed")
+        return run(self, first_label)
+
+    monkeypatch.setattr(_Kernel, "run", fails_in_a_child)
+    q = SearchQuery(build_family("cycle", 4), Target("arc", "antimagic"))
+    with pytest.raises(RuntimeError, match="worker 1 of 2 failed.*ZeroDivisionError: branch failed"):
+        search(q, workers=2)
+    assert_no_child_left()
+
+
+def test_workers_need_fork(monkeypatch):
+    q = SearchQuery(build_family("cycle", 3), Target("arc", "antimagic"))
+    want = search(q).solutions_found
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="needs os.fork"):
+        search(q, workers=2)
+    assert search(q, workers=1).solutions_found == want
 
 
 def test_cap_refusal_names_the_cap():

@@ -61,28 +61,27 @@ def targets(draw):
 
 def split_in_process(q):
     """What search(q, workers=2) returns, with the branches run here: one
-    kernel for a query with a witness bound, else one per first label."""
+    kernel runs the whole tree for a query with a witness bound, else each
+    first label in turn, as the caller and its forked workers share it."""
     kernel = _Kernel(q)
     if q.witness_cap or not q.graph.label_count:
         return _report(q, [kernel.run()], kernel, 0.0)
-    results = [_Kernel(q).run(first_label=lab) for lab in kernel.first_labels()]
-    return _report(q, results, kernel, 0.0)
+    return _report(q, [kernel.run(lab) for lab in kernel.first_labels()], kernel, 0.0)
 
 
 def examples(*cases):
     """@example for each (graph, target): every witness, and the count-all
-    form through a real pool."""
+    form through the forked split."""
     def wrap(test):
         for graph, target in cases:
             test = example(graph=graph, target=target, strong=False, strong_star=False,
-                           limit=10 ** 9, pool=True)(test)
+                           limit=10 ** 9, forked=True)(test)
         return test
     return wrap
 
 
-# generated examples compare the split in this process, as a pool per
-# example makes a failure too slow to shrink; the explicit examples keep
-# the pool
+# generated examples compare the split in this process, as forked workers
+# per example make a failure slower to shrink; the explicit examples fork
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=small_digraphs(),
@@ -90,7 +89,7 @@ def examples(*cases):
        strong=st.booleans(),
        strong_star=st.booleans(),
        limit=st.sampled_from((1, 3, 10 ** 9)),
-       pool=st.just(False))
+       forked=st.just(False))
 @examples(
     (Digraph(1, ()), Target("vertex", "magic")),
     (Digraph(1, ()), Target("arc", "magic")),
@@ -118,11 +117,11 @@ def examples(*cases):
     # meets every arc form, though vertices 2 and 4 weigh 3 and 5, not mu = 4
     (Digraph(5, ((2, 1), (1, 2), (3, 4))), Target("vertex", "magic")),
 )
-def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, pool):
+def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
     reference = search(q, pruned=False)
-    two_workers = (lambda query: search(query, workers=2)) if pool else split_in_process
+    two_workers = (lambda query: search(query, workers=2)) if forked else split_in_process
     for pruned in (search(q), two_workers(q)):
         assert pruned.solutions_found == reference.solutions_found
         assert pruned.witnesses == reference.witnesses
