@@ -33,11 +33,23 @@ Two enumerators produce the same results:
      +-sum(mu - vl[v]) over the side of the arc that lacks its
      component's last vertex, plus a signed sum of the arcs outside the
      forest, its free part; the form is known once that side is placed.
-     Two arcs of one free part must get distinct labels at most
-     a_hi - a_lo apart, and an arc with no free part has a forced label,
-     which must lie in a_lo..a_hi and off every vertex label.  Each of
-     these drops some mu or keeps an interval of them.  On a dicycle the
-     forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).
+     An arc with no free part has a forced label, which must lie in
+     a_lo..a_hi and off every vertex label.  Where the free part is one
+     free arc f, as on every arc of a cactus, the label is k_e + c_f or
+     k_e - c_f, with k_e fixed by mu, and each mu keeps the labels c_f
+     that put f and every arc of its part written so far on distinct
+     labels in a_lo..a_hi off the vertex labels: the mask of unused labels
+     shifted by each k_e (mirrored for k_e - c_f), ANDed, with the c_f
+     where two of them meet cleared.  Two arcs of a part with two or more
+     free arcs must get distinct labels at most a_hi - a_lo apart.  Each
+     of these drops some mu or keeps an interval of them.  On a dicycle
+     the forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).  At
+     the end of the vertex phase of a count-all search on a digraph whose
+     parts each have one free arc, mu is fixed and the parts are disjoint,
+     so the completions are counted from the masks: each c_f of every part
+     but the last, with its labels cleared from the later masks, times the
+     popcount of the last part's mask.  Such a search visits no arc-phase
+     node, so its nodes_visited counts vertex-phase nodes only.
 
   After the vertex phase the weight sum S of the target side's k weights
   is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
@@ -297,7 +309,7 @@ class _Kernel:
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
-                 "windows", "forms", "comps", "forced", "fq",
+                 "windows", "forms", "checks", "comps", "forced", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
@@ -402,12 +414,19 @@ class _Kernel:
         as sign * sum(mu - vl[v] for v in side) plus a signed sum of the
         free arcs, those outside the forest: side is the part of e's tree
         cut off by e that lacks the component's last vertex, and sign is +1
-        if e enters it.  forms[s] lists, for each tree arc whose side ends
-        at vertex s, (e, sign, side, p, forced, pairs), with p = sign *
-        |side| the coefficient of mu, forced true iff the free part is
-        empty, and pairs the (f, p - p_f) of the arcs f of the same free
-        part written before it; a free arc is the part (f, +1) with p_f = 0.
-        forced[s] lists the (e, p) of the forced arcs written before slot s.
+        if e enters it.  forms[s] lists the (e, sign, side) of the tree arcs
+        whose side ends at vertex s, written there; p = sign * |side| is the
+        coefficient of mu.  A tree arc whose free part is one free arc f,
+        with sign +1 or -1, has the label k_e + c_f or k_e - c_f; it is a
+        plus or a minus arc of f's part.  parts[s] holds, for each such
+        part that gets an arc at slot s, its (plus, minus) arcs written up
+        to s, each as (e, p); cycles holds every part in full, one per free
+        arc, when no tree arc has two or more free arcs (as on a cactus),
+        else None.  checks[s] lists the other arcs written at s as (e, p,
+        forced, pairs), with forced true iff the free part is empty and
+        pairs the (f, p - p_f) of the arcs f of the same free part written
+        before it.  forced[s] lists the (e, p) of the forced arcs written
+        before slot s, for s up to V.
         """
         V, n, arcs = self.V, self.N, g.arcs
         v_lo, v_hi, a_lo, a_hi = self.v_lo, self.v_hi, self.a_lo, self.a_hi
@@ -465,16 +484,30 @@ class _Kernel:
             part = tuple((f, -sign if arcs[f][1] in side else sign) for f in free
                          if (arcs[f][0] in side) != (arcs[f][1] in side))
             written.append((max(side), e, sign, tuple(sorted(side)), part))
-        groups = {((f, 1),): [(f, 0)] for f in free}
+        groups, single = {}, {f: [] for f in free}
         self.forms = [[] for _ in range(V)]
+        self.checks = [[] for _ in range(V)]
         for s, e, sign, side, part in sorted(written):
             p = sign * len(side)
+            self.forms[s].append((e, sign, side))
+            if len(part) == 1:
+                (f, pf), = part
+                single[f].append((s, pf, e, p))
+                continue
             group = groups.setdefault(part, [])
-            self.forms[s].append((e, sign, side, p, not part,
-                                  tuple((f, p - pf) for f, pf in group)))
+            self.checks[s].append((e, p, not part, tuple((f, p - pf) for f, pf in group)))
             group.append((e, p))
-        self.forced = [tuple((e, p) for forms in self.forms[:s]
-                             for e, _, _, p, forced, _ in forms if forced) for s in range(V)]
+
+        def arcs_of(f, s):  # the (plus, minus) arcs of f's part written up to slot s
+            return tuple(tuple((e, p) for t, pf, e, p in single[f] if t <= s and pf == sign)
+                         for sign in (1, -1))
+
+        self.parts = [tuple(arcs_of(f, s) for f in free if any(t == s for t, *_ in single[f]))
+                      for s in range(V)]
+        self.cycles = tuple(arcs_of(f, V) for f in free) \
+            if all(len(part) < 2 for *_, part in written) else None
+        self.forced = [tuple((e, p) for checks in self.checks[:s]
+                             for e, p, forced, _ in checks if forced) for s in range(V + 1)]
 
     def first_labels(self) -> list[int]:
         """Slot-0 label choices, in canonical order (for branch splitting);
@@ -499,9 +532,9 @@ class _Kernel:
         self.used = [False] * (self.N + 2)
         self.vl = [0] * self.V
         self.al = [0] * self.A
-        # rule 1: mus holds the feasible mu; on the arc side bit b + N of
-        # bases is set for each base placed and bit x of vmask for each
-        # vertex label placed, and on the vertex side fq[e] is the constant
+        # rule 1: mus holds the feasible mu and bit x of vmask is set for
+        # each vertex label placed; on the arc side bit b + N of bases is set
+        # for each base placed, and on the vertex side fq[e] is the constant
         # of tree arc e's label once written
         self.mus, self.bases, self.vmask = self.mu_seed, 0, 0
         self.fq = [0] * self.A
@@ -619,6 +652,7 @@ class _Kernel:
         written before s on x; _settle adds what becomes known at s."""
         vl, used, n, V = self.vl, self.used, self.N, self.V
         mus, fq, forced = self.mus, self.fq, self.forced[s]
+        vmask = self.vmask
         off_lo, off_hi, rest_lo, rest_hi = self.windows[s]
         settle = self.forms[s] or self.comps[s]
         placed = sum(vl[:s])
@@ -641,27 +675,31 @@ class _Kernel:
                 mu, r = divmod(x - fq[e], p)
                 if not r and lo <= mu <= hi:
                     m &= ~(1 << mu + n)
+            if not m:
+                continue
             vl[s] = x
             used[x] = True
-            if settle and m:
+            self.vmask = vmask | 1 << x
+            if settle:
                 m = self._settle(s, m)
-            if not m:
-                used[x] = False
-                continue
+                if not m:
+                    used[x] = False
+                    continue
             self.mus = m
             self.nodes += 1
             self._vertex_slot(s + 1)
             used[x] = False
             if self.stopped:
                 break
-        self.mus = mus
+        self.mus, self.vmask = mus, vmask
 
     def _settle(self, s: int, m: int) -> int:
         """m narrowed by what vertex slot s makes known (rule 1): the sum of
         a component that ends at s, and the tree arcs written at s.  Each
-        mu left must give two arcs of one free part labels that differ, by
-        at most a_hi - a_lo, and a forced arc an unused label in
-        a_lo..a_hi; vertex s is marked used already."""
+        mu left must give two arcs of a part with two or more free arcs
+        labels that differ, by at most a_hi - a_lo, a forced arc an unused
+        label in a_lo..a_hi, and each single-free-arc part touched at s a
+        label of its free arc (_part_mask); vertex s is placed already."""
         vl, n, fq, used = self.vl, self.N, self.fq, self.used
         comp = self.comps[s]
         if comp:
@@ -669,17 +707,18 @@ class _Kernel:
             if r:
                 return 0
             m &= 1 << mu + n
-        forms = self.forms[s]
-        for e, sign, side, _, _, _ in forms:
+        for e, sign, side in self.forms[s]:
             fq[e] = -sign * sum([vl[v] for v in side])
         a_lo, a_hi = self.a_lo, self.a_hi
         span = a_hi - a_lo
+        checks, parts = self.checks[s], self.parts[s]
+        free = self.arc_window & ~self.vmask if parts else 0
         left = m
         while left:
             bit = left & -left
             left ^= bit
             mu = bit.bit_length() - 1 - n
-            for e, _, _, p, forced, pairs in forms:
+            for e, p, forced, pairs in checks:
                 q = fq[e]
                 lab = p * mu + q
                 if forced and (lab < a_lo or lab > a_hi or used[lab]):
@@ -692,9 +731,53 @@ class _Kernel:
                     continue
                 break
             else:
-                continue
+                for part in parts:
+                    if not self._part_mask(part, mu, free):
+                        break
+                else:
+                    continue
             m ^= bit
         return m
+
+    def _part_mask(self, part, mu: int, free: int) -> int:
+        """The labels c that the free arc of a single-free-arc part may take
+        with mu (rule 1), as a bitmask.
+
+        part is (plus, minus): the (e, p) of its tree arcs written so far,
+        whose labels are k_e + c and k_e - c, with k_e = p * mu + fq[e].
+        Every label must be a bit of free; for a minus arc, free mirrored to
+        bit 2N - l for label l and shifted gives the c.  The labels must
+        also differ: two arcs of one sign differ iff their k_e do, the free
+        arc being a plus arc with k = 0, and a plus and a minus arc meet at
+        c = (k_minus - k_plus) / 2, which is cleared.
+        """
+        plus, minus = part
+        fq, span = self.fq, self.a_hi - self.a_lo
+        mask, wide, ks, hi = free, free << span, 1 << span, 2 * span
+        for e, p in plus:
+            k = p * mu + fq[e] + span  # bit k_e + span of ks
+            if k < 0 or k > hi or ks >> k & 1:
+                return 0
+            ks |= 1 << k
+            mask &= wide >> k
+        if not minus or not mask:
+            return mask
+        top, seen = 2 * self.N, 0
+        mirrored = int(f"{free:0{top + 1}b}"[::-1], 2)
+        for e, p in minus:
+            k = p * mu + fq[e]
+            if k < 0 or k > top or seen >> k & 1:
+                return 0
+            seen |= 1 << k
+            mask &= mirrored >> top - k
+            left = ks
+            while left:
+                bit = left & -left
+                left ^= bit
+                d = k + span + 1 - bit.bit_length()  # k minus the plus arc's k
+                if d >= 0 and not d & 1:
+                    mask &= ~(1 << (d >> 1))
+        return mask
 
     def _boundary(self):
         """All vertex labels placed; set up the arc phase.
@@ -712,6 +795,13 @@ class _Kernel:
             self.weight = 1 if f == self.N + 1 else 2
         if self.arc_magic:
             self._arcs_arc_magic()
+            return
+        if self.vertex_magic and self.cycles is not None and not self.cap:
+            # count-all on a graph whose parts each have one free arc
+            mu, free, fq = sum(vl) // self.V, self.arc_window & ~self.vmask, self.fq
+            for e, p in self.forced[self.V]:
+                free &= ~(1 << p * mu + fq[e])
+            self.count += self.weight * self._completions(self.cycles, mu, free)
             return
         t = self.target
         arc = t.side == "arc"
@@ -750,6 +840,31 @@ class _Kernel:
                 return
             self.seen.add(w)
         self._arc_slot_vertex(0, cands)
+
+    def _completions(self, parts: tuple, mu: int, free: int) -> int:
+        """The number of ways to label the arcs of parts, single-free-arc
+        parts, on distinct labels of free: each label c of the first free
+        arc takes its part's labels from the rest, and the last part's
+        choices are counted, not walked.  With no part, as on a forest, the
+        one labeling counts."""
+        if not parts:
+            return 1
+        mask = self._part_mask(parts[0], mu, free)
+        if len(parts) == 1:
+            return mask.bit_count()
+        plus, minus = parts[0]
+        fq, count = self.fq, 0
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            c = bit.bit_length() - 1
+            taken = bit
+            for e, p in plus:
+                taken |= 1 << p * mu + fq[e] + c
+            for e, p in minus:
+                taken |= 1 << p * mu + fq[e] - c
+            count += self._completions(parts[1:], mu, free & ~taken)
+        return count
 
     def _progressions(self, k: int, total: int, lo: int, hi: int) -> list:
         """The progressions (a, d, top) of k terms a, a + d, .., top = a + (k-1)d

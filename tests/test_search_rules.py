@@ -7,9 +7,12 @@ arc's label, which leaves exactly one mu once the vertices are placed.  On
 the vertex side each vertex keeps the mu inside its weight window and the
 bound from the remaining labels' sum, a component's last vertex fixes mu
 by the component's label sum, and the tree arcs of a spanning forest,
-written as soon as their side is placed, drop every mu that gives two arcs
-of one free part equal labels or labels too far apart, or a forced arc a
-label outside the label range or on a vertex label.  Distinctness
+written as soon as their side is placed, drop every mu that leaves the
+free arc of a single-free-arc part no label, gives two arcs of a larger
+free part equal labels or labels too far apart, or a forced arc a label
+outside the label range or on a vertex label; a count-all search whose
+parts each have one free arc counts the completions from those masks.
+Distinctness
 targets cut duplicate weights as soon as they are fixed, and arithmetic
 targets keep only the progressions that the fixed weight sum allows and
 that every fixed weight is a term of.  On the
@@ -116,6 +119,15 @@ def examples(*cases):
     # the vertex phase passed vl (4, 1, 6, 7, 2), which with al (8, 5, 3)
     # meets every arc form, though vertices 2 and 4 weigh 3 and 5, not mu = 4
     (Digraph(5, ((2, 1), (1, 2), (3, 4))), Target("vertex", "magic")),
+    # the free arc (1, 3) closes the triangle 0, 1, 3; tree arc (0, 1)
+    # gets the label k + c and (0, 3) the label k - c, from the mirrored
+    # mask
+    (Digraph(4, ((0, 1), (0, 3), (1, 3), (2, 0))), Target("vertex", "magic")),
+    # a part with two free arcs, as on wheels, keeps the pairwise checks
+    # and the arc phase; wheel(3) has 10 labels, too many for the oracle
+    (Digraph(3, ((0, 1), (1, 2), (2, 0), (2, 1))), Target("vertex", "magic")),
+    # a forest with 2 solutions: each full vertex prefix is one labeling
+    (Digraph(5, ((0, 1), (1, 2), (2, 3))), Target("vertex", "magic")),
 )
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
@@ -172,20 +184,21 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
         Target("arc", "arithmetic"), 32460, 5048),
     pin("cycle-5-sv-al-a1-d1", build_family("cycle", 5), Target("vertex", "arithmetic", 1, 1),
         9392, 720),
-    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 2413, 13),
-    pin("cycle-6-svml", build_family("cycle", 6), SVML, 14491, 0),
+    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 1176, 13),
+    pin("cycle-6-svml", build_family("cycle", 6), SVML, 563, 0),
     pin("path-5-alternating-saml", build_family("path", 5, orientation="alternating"), SAML,
         1080, 96),
     pin("tadpole-3-2-saml", build_family("tadpole", 3, t=2), SAML, 452, 0),
     pin("path-6-svml", build_family("path", 6), SVML, 363, 0),
     pin("star-5-in-svml", build_family("star", 5, orientation="in"), SVML, 0, 0),
     pin("wheel-4-svml", build_family("wheel", 4), SVML, 0, 0),
-    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 15324, 25),
-    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 439, 1,
+    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 8012, 25),
+    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 436, 1,
         mode="first-witness"),
-    # the sum of the first component fixes mu at its last vertex: 191
-    # nodes without that cut
-    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 75, 0),
+    # the sum of the first component fixes mu at its last vertex; without
+    # that cut the count-all search visits 157 nodes and counts 10
+    # labelings whose vertex weights differ
+    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 56, 0),
 ])
 def test_pinned_node_counts(query, nodes, solutions):
     # wheel(4) has 13 labels, over the default cap
