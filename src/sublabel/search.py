@@ -33,23 +33,27 @@ Two enumerators produce the same results:
      +-sum(mu - vl[v]) over the side of the arc that lacks its
      component's last vertex, plus a signed sum of the arcs outside the
      forest, its free part; the form is known once that side is placed.
-     An arc with no free part has a forced label, which must lie in
-     a_lo..a_hi and off every vertex label.  Where the free part is one
-     free arc f, as on every arc of a cactus, the label is k_e + c_f or
-     k_e - c_f, with k_e fixed by mu, and each mu keeps the labels c_f
-     that put f and every arc of its part written so far on distinct
+     So tree arc e gets the label k_e + c, with k_e fixed by mu and c
+     shared by a part: c is 0 on the forced part, the arcs with no free
+     part; the arcs whose free part is +f or -f for one free arc f, as is
+     every arc of a cactus, form f's part, c is f's label, and they get
+     k_e + c and k_e - c; the arcs of one larger signed free part form a
+     part read from its first-written arc, whose label is c, each other
+     arc being offset by k_e - k_ref.  Each mu keeps, for each part, the c
+     that put its arcs written so far, and f on f's part, on distinct
      labels in a_lo..a_hi off the vertex labels: the mask of unused labels
-     shifted by each k_e (mirrored for k_e - c_f), ANDed, with the c_f
-     where two of them meet cleared.  Two arcs of a part with two or more
-     free arcs must get distinct labels at most a_hi - a_lo apart.  Each
-     of these drops some mu or keeps an interval of them.  On a dicycle
-     the forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).  At
-     the end of the vertex phase of a count-all search on a digraph whose
-     parts each have one free arc, mu is fixed and the parts are disjoint,
-     so the completions are counted from the masks: each c_f of every part
-     but the last, with its labels cleared from the later masks, times the
-     popcount of the last part's mask.  Such a search visits no arc-phase
-     node, so its nodes_visited counts vertex-phase nodes only.
+     shifted by each k_e (mirrored for k_e - c), ANDed, with the c where
+     two of them meet cleared, and the one c = 0 of the forced part.  A
+     mu that leaves some part no c is dropped.  On a dicycle the
+     forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).  At the
+     end of the vertex phase on a digraph with no part of two or more free
+     arcs, mu is fixed and the parts are disjoint, so the completions are
+     counted from the masks: each c of every part but the last, with its
+     labels cleared from the later masks, times the popcount of the last
+     part's mask.  A count-all search adds that count and visits no
+     arc-phase node, so its nodes_visited counts vertex-phase nodes only;
+     a witness search walks the arc phase below a vertex prefix only if
+     the count there is not 0.
 
   After the vertex phase the weight sum S of the target side's k weights
   is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
@@ -309,7 +313,7 @@ class _Kernel:
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
-                 "windows", "forms", "checks", "comps", "forced", "fq", "parts", "cycles",
+                 "windows", "forms", "comps", "forced", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
@@ -416,17 +420,19 @@ class _Kernel:
         cut off by e that lacks the component's last vertex, and sign is +1
         if e enters it.  forms[s] lists the (e, sign, side) of the tree arcs
         whose side ends at vertex s, written there; p = sign * |side| is the
-        coefficient of mu.  A tree arc whose free part is one free arc f,
-        with sign +1 or -1, has the label k_e + c_f or k_e - c_f; it is a
-        plus or a minus arc of f's part.  parts[s] holds, for each such
-        part that gets an arc at slot s, its (plus, minus) arcs written up
-        to s, each as (e, p); cycles holds every part in full, one per free
-        arc, when no tree arc has two or more free arcs (as on a cactus),
-        else None.  checks[s] lists the other arcs written at s as (e, p,
-        forced, pairs), with forced true iff the free part is empty and
-        pairs the (f, p - p_f) of the arcs f of the same free part written
-        before it.  forced[s] lists the (e, p) of the forced arcs written
-        before slot s, for s up to V.
+        coefficient of mu in k_e = p * mu + fq[e].
+
+        The tree arcs group into the parts of rule 1, each given to
+        _part_mask as (ref, plus, minus), every arc as (e, p).  The forced
+        part, of the arcs with no free part, has ref None.  The part of a
+        free arc f has ref (f, 0), as fq[f] stays 0, with its plus and minus
+        arcs, those whose free part is +f and -f.  The arcs of one signed
+        free part of two or more free arcs form a part whose ref is its
+        first-written arc, and whose other arcs are plus arcs.  parts[s]
+        holds each part that gets an arc at slot s, as written up to s;
+        cycles holds every part in full, the forced part first, when no part
+        has two or more free arcs (as on a cactus), else None.  forced[s]
+        lists the (e, p) of the forced arcs written before slot s.
         """
         V, n, arcs = self.V, self.N, g.arcs
         v_lo, v_hi, a_lo, a_hi = self.v_lo, self.v_hi, self.a_lo, self.a_hi
@@ -484,30 +490,34 @@ class _Kernel:
             part = tuple((f, -sign if arcs[f][1] in side else sign) for f in free
                          if (arcs[f][0] in side) != (arcs[f][1] in side))
             written.append((max(side), e, sign, tuple(sorted(side)), part))
-        groups, single = {}, {f: [] for f in free}
+        # groups[key] is the ref of a part, then its arcs as (slot, e, p,
+        # sign): the forced part, key (), first, a single-free-arc part under
+        # its free arc, a larger one under its signed free part, with its
+        # first-written arc as ref
+        groups = {(): [None]}
         self.forms = [[] for _ in range(V)]
-        self.checks = [[] for _ in range(V)]
         for s, e, sign, side, part in sorted(written):
             p = sign * len(side)
             self.forms[s].append((e, sign, side))
             if len(part) == 1:
                 (f, pf), = part
-                single[f].append((s, pf, e, p))
-                continue
-            group = groups.setdefault(part, [])
-            self.checks[s].append((e, p, not part, tuple((f, p - pf) for f, pf in group)))
-            group.append((e, p))
+                groups.setdefault(f, [(f, 0)]).append((s, e, p, pf))
+            else:
+                groups.setdefault(part, [(e, p)]).append((s, e, p, 1))
 
-        def arcs_of(f, s):  # the (plus, minus) arcs of f's part written up to slot s
-            return tuple(tuple((e, p) for t, pf, e, p in single[f] if t <= s and pf == sign)
-                         for sign in (1, -1))
+        def written_up_to(ref, arcs, s):
+            # newest first, as they fail most: the older ones passed at their slots
+            return (ref,) + tuple(tuple((e, p) for t, e, p, pf in reversed(arcs)
+                                        if t <= s and pf == sign and (e, p) != ref)
+                                  for sign in (1, -1))
 
-        self.parts = [tuple(arcs_of(f, s) for f in free if any(t == s for t, *_ in single[f]))
-                      for s in range(V)]
-        self.cycles = tuple(arcs_of(f, V) for f in free) \
+        self.parts = [[] for _ in range(V)]
+        for ref, *arcs in groups.values():
+            for s in sorted({t for t, *_ in arcs}):
+                self.parts[s].append(written_up_to(ref, arcs, s))
+        self.cycles = tuple(written_up_to(ref, arcs, V) for ref, *arcs in groups.values() if arcs) \
             if all(len(part) < 2 for *_, part in written) else None
-        self.forced = [tuple((e, p) for checks in self.checks[:s]
-                             for e, p, forced, _ in checks if forced) for s in range(V + 1)]
+        self.forced = [tuple((e, p) for t, e, p, _ in groups[()][1:] if t < s) for s in range(V)]
 
     def first_labels(self) -> list[int]:
         """Slot-0 label choices, in canonical order (for branch splitting);
@@ -696,11 +706,9 @@ class _Kernel:
     def _settle(self, s: int, m: int) -> int:
         """m narrowed by what vertex slot s makes known (rule 1): the sum of
         a component that ends at s, and the tree arcs written at s.  Each
-        mu left must give two arcs of a part with two or more free arcs
-        labels that differ, by at most a_hi - a_lo, a forced arc an unused
-        label in a_lo..a_hi, and each single-free-arc part touched at s a
-        label of its free arc (_part_mask); vertex s is placed already."""
-        vl, n, fq, used = self.vl, self.N, self.fq, self.used
+        mu left must leave each part that gets an arc at s some c in its
+        mask (_part_mask); vertex s is placed already."""
+        vl, n, fq = self.vl, self.N, self.fq
         comp = self.comps[s]
         if comp:
             mu, r = divmod(sum([vl[v] for v in comp]), len(comp))
@@ -709,53 +717,47 @@ class _Kernel:
             m &= 1 << mu + n
         for e, sign, side in self.forms[s]:
             fq[e] = -sign * sum([vl[v] for v in side])
-        a_lo, a_hi = self.a_lo, self.a_hi
-        span = a_hi - a_lo
-        checks, parts = self.checks[s], self.parts[s]
-        free = self.arc_window & ~self.vmask if parts else 0
+        parts, free = self.parts[s], self.arc_window & ~self.vmask
         left = m
         while left:
             bit = left & -left
             left ^= bit
             mu = bit.bit_length() - 1 - n
-            for e, p, forced, pairs in checks:
-                q = fq[e]
-                lab = p * mu + q
-                if forced and (lab < a_lo or lab > a_hi or used[lab]):
+            for part in parts:
+                if not self._part_mask(part, mu, free):
+                    m ^= bit
                     break
-                for f, dp in pairs:
-                    d = dp * mu + q - fq[f]
-                    if not d or d > span or d < -span:
-                        break
-                else:
-                    continue
-                break
-            else:
-                for part in parts:
-                    if not self._part_mask(part, mu, free):
-                        break
-                else:
-                    continue
-            m ^= bit
         return m
 
     def _part_mask(self, part, mu: int, free: int) -> int:
-        """The labels c that the free arc of a single-free-arc part may take
-        with mu (rule 1), as a bitmask.
+        """The values c that a part of rule 1 may take with mu, as a bitmask.
 
-        part is (plus, minus): the (e, p) of its tree arcs written so far,
-        whose labels are k_e + c and k_e - c, with k_e = p * mu + fq[e].
-        Every label must be a bit of free; for a minus arc, free mirrored to
-        bit 2N - l for label l and shifted gives the c.  The labels must
-        also differ: two arcs of one sign differ iff their k_e do, the free
-        arc being a plus arc with k = 0, and a plus and a minus arc meet at
-        c = (k_minus - k_plus) / 2, which is cleared.
+        part is (ref, plus, minus), with the (e, p) of its tree arcs written
+        so far and k_e = p * mu + fq[e].  With ref None it is the forced
+        part: c is 0, and the mask is 1 iff the labels k_e are distinct bits
+        of free.  Else c is the label of the arc ref, and the plus and minus
+        arcs get the labels c + k_e - k_ref and k_e + k_ref - c.  c and every
+        label must be a bit of free; for a minus arc, free mirrored to bit
+        2N - l for label l and shifted gives the c.  The labels must also
+        differ: two arcs of one sign differ iff their k_e do, ref being a
+        plus arc, and a plus and a minus arc meet at one c, which is
+        cleared.
         """
-        plus, minus = part
-        fq, span = self.fq, self.a_hi - self.a_lo
+        ref, plus, minus = part
+        fq = self.fq
+        if ref is None:
+            for e, p in plus:
+                lab = p * mu + fq[e]
+                if lab < 0 or not free >> lab & 1:
+                    return 0
+                free ^= 1 << lab
+            return 1
+        e, p = ref
+        base, span = p * mu + fq[e], self.a_hi - self.a_lo
+        off = span - base
         mask, wide, ks, hi = free, free << span, 1 << span, 2 * span
         for e, p in plus:
-            k = p * mu + fq[e] + span  # bit k_e + span of ks
+            k = p * mu + fq[e] + off  # bit k_e - k_ref + span of ks
             if k < 0 or k > hi or ks >> k & 1:
                 return 0
             ks |= 1 << k
@@ -765,7 +767,7 @@ class _Kernel:
         top, seen = 2 * self.N, 0
         mirrored = int(f"{free:0{top + 1}b}"[::-1], 2)
         for e, p in minus:
-            k = p * mu + fq[e]
+            k = p * mu + fq[e] + base
             if k < 0 or k > top or seen >> k & 1:
                 return 0
             seen |= 1 << k
@@ -783,7 +785,10 @@ class _Kernel:
         """All vertex labels placed; set up the arc phase.
 
         Rule 1 has settled an arc-magic target, and left a vertex-magic one
-        the one mu = sum(vl) / V.  For any other the weight sum S of the
+        the one mu = sum(vl) / V.  Where no part has two or more free arcs,
+        the vertex-magic completions are counted from the masks of rule 1:
+        a count-all search adds them, and a witness search walks the arc
+        phase only where there is one.  For any other the weight sum S of the
         target side is now fixed, and with it the candidate progressions
         (a, d, top): the one-term span (mu, 0, mu) of a vertex-magic target,
         those of rule 2 for an arithmetic target, None for an antimagic one.
@@ -796,13 +801,16 @@ class _Kernel:
         if self.arc_magic:
             self._arcs_arc_magic()
             return
-        if self.vertex_magic and self.cycles is not None and not self.cap:
-            # count-all on a graph whose parts each have one free arc
-            mu, free, fq = sum(vl) // self.V, self.arc_window & ~self.vmask, self.fq
-            for e, p in self.forced[self.V]:
-                free &= ~(1 << p * mu + fq[e])
-            self.count += self.weight * self._completions(self.cycles, mu, free)
-            return
+        if self.vertex_magic and self.cycles is not None:
+            # no part has two or more free arcs: count the completions, and
+            # walk them only for the witnesses
+            found = self._completions(self.cycles, sum(vl) // self.V,
+                                      self.arc_window & ~self.vmask)
+            if not self.cap:
+                self.count += self.weight * found
+                return
+            if not found:
+                return
         t = self.target
         arc = t.side == "arc"
         k = self.A if arc else self.V
@@ -842,17 +850,17 @@ class _Kernel:
         self._arc_slot_vertex(0, cands)
 
     def _completions(self, parts: tuple, mu: int, free: int) -> int:
-        """The number of ways to label the arcs of parts, single-free-arc
-        parts, on distinct labels of free: each label c of the first free
-        arc takes its part's labels from the rest, and the last part's
-        choices are counted, not walked.  With no part, as on a forest, the
-        one labeling counts."""
+        """The number of ways to label the arcs of parts, the forced part and
+        single-free-arc parts, whose k_ref is 0, on distinct labels of free:
+        each c of the first part takes that part's labels from the rest, and
+        the last part's choices are counted, not walked.  With no part, as
+        on a digraph without arcs, the one labeling counts."""
         if not parts:
             return 1
         mask = self._part_mask(parts[0], mu, free)
         if len(parts) == 1:
             return mask.bit_count()
-        plus, minus = parts[0]
+        _, plus, minus = parts[0]
         fq, count = self.fq, 0
         while mask:
             bit = mask & -mask

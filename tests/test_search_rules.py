@@ -7,12 +7,12 @@ arc's label, which leaves exactly one mu once the vertices are placed.  On
 the vertex side each vertex keeps the mu inside its weight window and the
 bound from the remaining labels' sum, a component's last vertex fixes mu
 by the component's label sum, and the tree arcs of a spanning forest,
-written as soon as their side is placed, drop every mu that leaves the
-free arc of a single-free-arc part no label, gives two arcs of a larger
-free part equal labels or labels too far apart, or a forced arc a label
-outside the label range or on a vertex label; a count-all search whose
-parts each have one free arc counts the completions from those masks.
-Distinctness
+written as soon as their side is placed, drop every mu that leaves some
+part no value in its label mask: the forced part, a single-free-arc part
+or a part with two or more free arcs.  Where no part has two or more
+free arcs the completions are counted from those masks: a count-all
+search adds the count, and a witness search walks the arc phase only
+below a vertex prefix whose count is not 0.  Distinctness
 targets cut duplicate weights as soon as they are fixed, and arithmetic
 targets keep only the progressions that the fixed weight sum allows and
 that every fixed weight is a term of.  On the
@@ -123,12 +123,23 @@ def examples(*cases):
     # gets the label k + c and (0, 3) the label k - c, from the mirrored
     # mask
     (Digraph(4, ((0, 1), (0, 3), (1, 3), (2, 0))), Target("vertex", "magic")),
-    # a part with two free arcs, as on wheels, keeps the pairwise checks
-    # and the arc phase; wheel(3) has 10 labels, too many for the oracle
+    # a part with two free arcs, as on wheels, is read from its
+    # first-written arc and keeps the arc phase; wheel(3) has 10 labels,
+    # too many for the oracle
     (Digraph(3, ((0, 1), (1, 2), (2, 0), (2, 1))), Target("vertex", "magic")),
     # a forest with 2 solutions: each full vertex prefix is one labeling
     (Digraph(5, ((0, 1), (1, 2), (2, 3))), Target("vertex", "magic")),
+    # 13 solutions; a part with two free arcs whose arcs are not offset
+    # from its first-written arc finds 8
+    (Digraph(3, ((1, 2), (2, 0), (1, 0), (0, 1))), Target("vertex", "magic")),
 )
+# the arc window is the one label 1, beside an isolated vertex: the forced
+# arc's label lies further from 0 than the window is wide; 1 solution
+@example(graph=Digraph(3, ((1, 2),)), target=Target("vertex", "magic"), strong=False,
+         strong_star=True, limit=10 ** 9, forked=True)
+# 4 solutions; without the first-arc offset 2
+@example(graph=Digraph(3, ((2, 1), (0, 2), (0, 1), (1, 0))), target=Target("vertex", "magic"),
+         strong=False, strong_star=True, limit=10 ** 9, forked=True)
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
@@ -193,7 +204,11 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     pin("star-5-in-svml", build_family("star", 5, orientation="in"), SVML, 0, 0),
     pin("wheel-4-svml", build_family("wheel", 4), SVML, 0, 0),
     pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 8012, 25),
-    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 436, 1,
+    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 230, 1,
+        mode="first-witness"),
+    # wheel(3) reaches a part with two free arcs; wheel(4)'s mu seed is empty
+    pin("wheel-3-svml", build_family("wheel", 3), SVML, 19, 0),
+    pin("wheel-3-svml-first-witness", build_family("wheel", 3), SVML, 47, 0,
         mode="first-witness"),
     # the sum of the first component fixes mu at its last vertex; without
     # that cut the count-all search visits 157 nodes and counts 10
