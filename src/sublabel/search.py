@@ -69,7 +69,19 @@ Two enumerators produce the same results:
      k * a + d * k(k-1)/2 = S, inside the range the weights can reach and
      with the given a and d.  Each weight of an arithmetic target drops,
      once it is fixed, the candidates it is not a term of, and a branch
-     with none left is cut;
+     with none left is cut.  The vertex phase already cuts a prefix that
+     can reach no such S.  S is N(N+1)/2 - T on the arc side and T on the
+     vertex side, with T = sum(coef[v] * vl[v]), coef[v] = 1 - in(v) +
+     out(v) on the arc side and 1 on the vertex side.  The S of the
+     progressions with the given a and d whose terms lie in the widest
+     range the side can reach are tabled once, as values of T.  A vertex
+     label is placed only if the prefix's partial T plus the least to the
+     greatest T of the vertices still to place meets a tabled T.  That
+     window is the rearrangement bound for distinct labels: the least
+     gives the lowest labels to the largest positive coefficients and the
+     highest to the most negative ones, and the greatest mirrors it.
+     Where the window is one value, as when only vertices of coefficient 0
+     are left, the cut is exact;
   3. candidate span: all candidates are centred on S / k, so the one with
      the largest d spans the others.  An arc-side slot offers only the
      labels whose weight lies in that span; a vertex-side slot only those
@@ -304,6 +316,24 @@ def _fitting(cands: list, w: int) -> list:
     return [c for c in cands if c[0] <= w <= c[2] and (w == c[0] or (w - c[0]) % c[1] == 0)]
 
 
+def _rest(coef: list, lo: int, hi: int) -> list:
+    """rest[s] is the least and the greatest sum(coef[v] * vl[v]) over the
+    vertices s.., with distinct labels in lo..hi; rest[V] is (0, 0).
+
+    The least, by the rearrangement bound, gives the lowest labels to the
+    positive coefficients, largest first, and the highest labels to the
+    negative ones, most negative last.  x -> lo + hi - x maps labels in
+    lo..hi to labels in lo..hi and the least sum to the greatest.
+    """
+    rest = []
+    for s in range(len(coef) + 1):
+        cs = sorted(coef[s:], reverse=True)
+        m = len(cs)
+        least = sum([c * (lo + i if c > 0 else hi - m + 1 + i) for i, c in enumerate(cs)])
+        rest.append((least, (lo + hi) * sum(cs) - least))
+    return rest
+
+
 class _Kernel:
     """The pruned enumerator; run() explores (a branch of) the tree."""
 
@@ -313,7 +343,8 @@ class _Kernel:
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
-                 "windows", "forms", "comps", "forced", "fq", "parts", "cycles",
+                 "rest", "sums", "off", "windows", "forms", "comps", "forced", "fq", "parts",
+                 "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
@@ -356,15 +387,23 @@ class _Kernel:
                     and (t.side == "arc" or in_deg == out_deg):
                 self.mirror = base[0][1] if base and base[0][0] == 0 else (0,)
         self.above = [tuple(a) for a in above]
-        # the arc weights sum to total - sum(coef[v] * vl[v])
-        self.coef = [1 - in_deg[v] + out_deg[v] for v in range(self.V)]
+        # the weights of the target side sum to S = total - T on the arc
+        # side and S = T on the vertex side, T = sum(coef[v] * vl[v]);
+        # rest[s] bounds T over the vertices s.. (rule 2), and sums has bit
+        # T - off set for each T from off up whose S some progression of
+        # rule 2 takes, else it is None
+        arc = t.side == "arc"
+        self.coef = [1 - in_deg[v] + out_deg[v] if arc else 1 for v in range(self.V)]
+        self.sums = None
         # rule 1 for magic targets.  completes[s] lists, as (other
         # endpoint, sign), the arcs whose second endpoint is vertex s; the
         # base vl[head] - vl[tail] of such an arc is
         # sign * (vl[s] - vl[other]).  arc_window has bit l set for each
         # arc label l in a_lo..a_hi.
-        self.arc_magic = t.kind == "magic" and t.side == "arc"
-        self.vertex_magic = t.kind == "magic" and t.side == "vertex"
+        self.arc_magic = t.kind == "magic" and arc
+        self.vertex_magic = t.kind == "magic" and not arc
+        self.rest = _rest(self.coef, v_lo, v_hi) \
+            if self.vertex_magic or t.kind == "arithmetic" else None
         self.arc_window = sum(1 << lab for lab in range(a_lo, a_hi + 1))
         completes = [[] for _ in range(self.V)]
         if self.arc_magic:
@@ -403,16 +442,56 @@ class _Kernel:
             self.closes.append(() if t.kind == "magic" else
                                tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
             self.reach.append(window(tail) + window(head))
+        if t.kind == "arithmetic":
+            self._sum_table()
+
+    def _sum_table(self):
+        """Rule 2 in the vertex phase: sums and off of an arithmetic target.
+
+        A weight lies in lo..hi, the widest range the side can reach: an arc
+        weighs a label in a_lo..a_hi plus a base vl[head] - vl[tail], and a
+        vertex its label plus its v_reach window.  For each d, the first
+        terms a that keep the k terms in lo..hi, and equal the pinned a,
+        form a run, whose sums k * a + d * k(k-1)/2 step by k.  off is the
+        least T for labels in v_lo..v_hi, each vertex taken alone, so it is
+        at most the partial sum of a vertex prefix plus the least of rest
+        after it; the sums whose T lies below are dropped.  Those above the
+        greatest T are kept, as no window reaches them.
+        """
+        t, v_lo, v_hi = self.target, self.v_lo, self.v_hi
+        arc = t.side == "arc"
+        self.off = off = sum([min(c * v_lo, c * v_hi) for c in self.coef])
+        k = self.A if arc else self.V
+        self.sums = sums = 0  # a side of fewer than two weights is magic
+        if k < 2:
+            return
+        if arc:
+            lo, hi = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo
+        else:
+            lo = v_lo + min([r for r, _ in self.v_reach])
+            hi = v_hi + max([r for _, r in self.v_reach])
+        half = k * (k - 1) // 2
+        for d in (t.d,) if t.d else range(1, (hi - lo) // (k - 1) + 1):
+            a0, a1 = lo, hi - (k - 1) * d
+            if t.a is not None:
+                a0, a1 = max(a0, t.a), min(a1, t.a)
+            if a0 > a1:
+                continue
+            # run has one bit per a, k apart; as a rises, T rises on the
+            # vertex side and falls on the arc side
+            run = ((1 << k * (a1 - a0 + 1)) - 1) // ((1 << k) - 1)
+            low = (self.total - k * a1 - d * half if arc else k * a0 + d * half) - off
+            sums |= run << low if low >= 0 else run >> -low
+        self.sums = sums
 
     def _vertex_magic_tables(self, g: Digraph, in_deg: list, out_deg: list):
         """Rule 1 tables of a vertex-magic target.
 
-        windows[s] is off_lo, off_hi, rest_lo, rest_hi: the arcs of vertex s
-        change its weight by off_lo..off_hi, and the V - 1 - s vertex
-        labels after slot s sum to rest_lo..rest_hi.  comps[s] holds the
-        weakly connected component whose last vertex is s, else (); the
-        one that ends at V - 1 is left out, as V * mu and the others' sums
-        fix its sum.
+        windows[s] is off_lo, off_hi: the arcs of vertex s change its weight
+        by off_lo..off_hi; the V - 1 - s vertex labels after slot s sum to
+        rest[s + 1].  comps[s] holds the weakly connected component whose
+        last vertex is s, else (); the one that ends at V - 1 is left out,
+        as V * mu and the others' sums fix its sum.
 
         A spanning forest grown in arc order writes the label of tree arc e
         as sign * sum(mu - vl[v] for v in side) plus a signed sum of the
@@ -444,11 +523,10 @@ class _Kernel:
             return d * hi - d * (d - 1) // 2
 
         self.windows = [(least(in_deg[s], a_lo) - most(out_deg[s], a_hi),
-                         most(in_deg[s], a_hi) - least(out_deg[s], a_lo),
-                         least(V - 1 - s, v_lo), most(V - 1 - s, v_hi)) for s in range(V)]
+                         most(in_deg[s], a_hi) - least(out_deg[s], a_lo)) for s in range(V)]
         # seed: mu inside every vertex's window, and V * mu a sum of V labels
-        lo = max([-(-least(V, v_lo) // V)] + [v_lo + w[0] for w in self.windows])
-        hi = min([most(V, v_hi) // V] + [v_hi + w[1] for w in self.windows])
+        lo = max([-(-self.rest[0][0] // V)] + [v_lo + w[0] for w in self.windows])
+        hi = min([self.rest[0][1] // V] + [v_hi + w[1] for w in self.windows])
         self.mu_seed = (2 << hi + n) - (1 << lo + n) if lo <= hi else 0
         root = list(range(V))
 
@@ -593,7 +671,8 @@ class _Kernel:
             mus = self.mus
             mlo = (mus & -mus).bit_length() - 1 - self.N
             mhi = mus.bit_length() - 1 - self.N
-            off_lo, off_hi, rest_lo, rest_hi = self.windows[s]
+            off_lo, off_hi = self.windows[s]
+            rest_lo, rest_hi = self.rest[s + 1]
             placed = sum(vl[:s])
             lo = max(lo, mlo - off_hi, self.V * mlo - placed - rest_hi)
             hi = min(hi, mhi - off_lo, self.V * mhi - placed - rest_lo)
@@ -612,6 +691,8 @@ class _Kernel:
         if self.vertex_magic:
             self._vertex_slot_vertex_magic(s, labels)
             return
+        if self.sums is not None:
+            labels = self._sum_cut(s, labels)
         vl, used = self.vl, self.used
         for lab in labels:
             if used[lab]:
@@ -623,6 +704,16 @@ class _Kernel:
             used[lab] = False
             if self.stopped:
                 return
+
+    def _sum_cut(self, s: int, labels) -> list:
+        """Rule 2: T lies in the partial sum before s, plus coef[s] * lab,
+        plus rest[s + 1]; the labels whose window meets a bit of sums."""
+        lo, hi = self.rest[s + 1]
+        if lo > hi:
+            return []  # the labels after s do not fit in v_lo..v_hi
+        base = sum(map(mul, self.coef[:s], self.vl[:s])) + lo - self.off
+        c, width, sums = self.coef[s], (2 << hi - lo) - 1, self.sums
+        return [lab for lab in labels if sums >> base + c * lab & width]
 
     def _vertex_slot_arc_magic(self, s: int, labels):
         """Arc-magic slot: label x keeps the mu left that give no completed
@@ -663,7 +754,8 @@ class _Kernel:
         vl, used, n, V = self.vl, self.used, self.N, self.V
         mus, fq, forced = self.mus, self.fq, self.forced[s]
         vmask = self.vmask
-        off_lo, off_hi, rest_lo, rest_hi = self.windows[s]
+        off_lo, off_hi = self.windows[s]
+        rest_lo, rest_hi = self.rest[s + 1]
         settle = self.forms[s] or self.comps[s]
         placed = sum(vl[:s])
         for x in labels:

@@ -13,9 +13,11 @@ or a part with two or more free arcs.  Where no part has two or more
 free arcs the completions are counted from those masks: a count-all
 search adds the count, and a witness search walks the arc phase only
 below a vertex prefix whose count is not 0.  Distinctness
-targets cut duplicate weights as soon as they are fixed, and arithmetic
-targets keep only the progressions that the fixed weight sum allows and
-that every fixed weight is a term of.  On the
+targets cut duplicate weights as soon as they are fixed.  An arithmetic
+target cuts a vertex prefix whose weight sum, bounded over the labels
+still to place, no progression can take, and in the arc phase keeps only
+the progressions that the fixed weight sum allows and that every fixed
+weight is a term of.  On the
 vertex side magic and arithmetic targets keep each vertex able to reach
 the widest candidate progression, the one term mu for a magic target.  The
 pruned kernel must agree with the reference enumerator on random digraphs
@@ -140,6 +142,19 @@ def examples(*cases):
 # 4 solutions; without the first-arc offset 2
 @example(graph=Digraph(3, ((2, 1), (0, 2), (0, 1), (1, 0))), target=Target("vertex", "magic"),
          strong=False, strong_star=True, limit=10 ** 9, forked=True)
+# both strong flags leave the vertices the labels 3..2, none at all
+@example(graph=Digraph(2, ((0, 1), (1, 0))), target=Target("vertex", "arithmetic"),
+         strong=True, strong_star=True, limit=10 ** 9, forked=True)
+# 4 solutions, each with vertex labels summing to 12 or more; the prefix
+# (1, 2) and the least label after it sum to 6, below every sum that a
+# progression with a = 3 takes
+@example(graph=Digraph(3, ((0, 1), (1, 2))), target=Target("vertex", "arithmetic", a=3),
+         strong=False, strong_star=False, limit=10 ** 9, forked=True)
+# 3,856 solutions; vertex 4 has two in-arcs, so its label counts -1 times
+# in the arc weight sum, and the least sum gives it the highest label: given
+# the lowest, as to the other vertices, the bound cuts every solution
+@example(graph=Digraph(5, ((3, 4), (2, 1), (1, 4))), target=Target("arc", "arithmetic"),
+         strong=False, strong_star=False, limit=10 ** 9, forked=True)
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
@@ -189,12 +204,20 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     pin("tadpole-3-3-saml", build_family("tadpole", 3, t=3), SAML, 3164, 4),
     pin("star-5-out-saml", build_family("star", 5, orientation="out"), SAML, 1790, 11520),
     pin("star-3-svml", build_family("star", 3), SVML, 0, 0),
-    pin("cycle-4-sv-al", build_family("cycle", 4), Target("vertex", "arithmetic"), 5119, 816),
+    pin("cycle-4-sv-al", build_family("cycle", 4), Target("vertex", "arithmetic"), 4999, 816),
     pin("cycle-4-saal", build_family("cycle", 4), Target("arc", "antimagic"), 15539, 30912),
     pin("path-5-forward-sa-al", build_family("path", 5, orientation="forward"),
-        Target("arc", "arithmetic"), 32460, 5048),
+        Target("arc", "arithmetic"), 27204, 5048),
     pin("cycle-5-sv-al-a1-d1", build_family("cycle", 5), Target("vertex", "arithmetic", 1, 1),
-        9392, 720),
+        1951, 720),
+    # the paper's constructions: path(n) sa-al with a = n + 2, tadpole(n, t)
+    # sv-al with a = n + t + 1 and friendship(n) sa-al with a = 2n + 2, d = 1
+    pin("path-6-forward-sa-al-a8-d1", build_family("path", 6, orientation="forward"),
+        Target("arc", "arithmetic", 8, 1), 4665, 690),
+    pin("tadpole-3-2-sv-al-a6-d1", build_family("tadpole", 3, t=2),
+        Target("vertex", "arithmetic", 6, 1), 6345, 266),
+    pin("friendship-2-sa-al-a6-d1", build_family("friendship", 2),
+        Target("arc", "arithmetic", 6, 1), 5440, 1384),
     pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 1176, 13),
     pin("cycle-6-svml", build_family("cycle", 6), SVML, 563, 0),
     pin("path-5-alternating-saml", build_family("path", 5, orientation="alternating"), SAML,
@@ -310,6 +333,20 @@ def test_dual_cut_counts_every_labeling(query, dual, solutions):
         assert search(query, pruned=False).solutions_found == solutions
 
 
+# rule 2 cuts every first vertex label where no progression fits the
+# widest weight range: an arc of star(3) weighs at most 7 + 6, so none
+# starts at 100 (checked in the arc phase only, 294 nodes), and two
+# isolated vertices weigh their labels 1 and 2, too close for d = 2 (a
+# first-witness search, as the dual cut would leave only the label 1)
+@pytest.mark.parametrize("query", [
+    SearchQuery(build_family("star", 3), Target("arc", "arithmetic", 100, 1)),
+    SearchQuery(Digraph(2, ()), Target("vertex", "arithmetic", d=2), mode="first-witness"),
+], ids=["star-3-sa-al-a100-d1", "two-vertices-sv-al-d2-first-witness"])
+def test_a_class_that_no_weight_range_reaches_visits_no_node(query):
+    report = search(query)
+    assert (report.nodes_visited, report.solutions_found, report.exhaustive) == (0, 0, True)
+
+
 @pytest.mark.parametrize("family,n,nodes", [
     ("path", 2, 15),
     ("cycle", 4, 109600),
@@ -326,7 +363,7 @@ def test_reference_count_all_visits_every_prefix(family, n, nodes):
     (SearchQuery(build_family("tadpole", 3, t=3), Target("arc", "magic"),
                  mode="first-witness"), 2320),
     (SearchQuery(build_family("path", 5, orientation="forward"), Target("arc", "arithmetic"),
-                 mode="collect-up-to", limit=100), 631),
+                 mode="collect-up-to", limit=100), 577),
 ], ids=["tadpole-3-3-saml-first-witness", "path-5-forward-sa-al-collect-100"])
 def test_witness_modes_report_the_same_at_two_workers(query, nodes):
     one, two = search(query).to_dict(), search(query, workers=2).to_dict()
