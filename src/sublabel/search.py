@@ -39,21 +39,23 @@ Two enumerators produce the same results:
      every arc of a cactus, form f's part, c is f's label, and they get
      k_e + c and k_e - c; the arcs of one larger signed free part form a
      part read from its first-written arc, whose label is c, each other
-     arc being offset by k_e - k_ref.  Each mu keeps, for each part, the c
-     that put its arcs written so far, and f on f's part, on distinct
-     labels in a_lo..a_hi off the vertex labels: the mask of unused labels
-     shifted by each k_e (mirrored for k_e - c), ANDed, with the c where
-     two of them meet cleared, and the one c = 0 of the forced part.  A
-     mu that leaves some part no c is dropped.  On a dicycle the
-     forms are c + P_v, with P_v = sum(vl[j] - mu for j <= v).  At the
-     end of the vertex phase on a digraph with no part of two or more free
-     arcs, mu is fixed and the parts are disjoint, so the completions are
-     counted from the masks: each c of every part but the last, with its
-     labels cleared from the later masks, times the popcount of the last
-     part's mask.  A count-all search adds that count and visits no
-     arc-phase node, so its nodes_visited counts vertex-phase nodes only;
-     a witness search walks the arc phase below a vertex prefix only if
-     the count there is not 0.
+     arc being offset by k_e - k_ref.  At every vertex slot, each mu keeps,
+     for each part with an arc written so far, the c that put those arcs,
+     and f on f's part, on distinct labels in a_lo..a_hi off the vertex
+     labels placed so far: the mask of unused labels shifted by each k_e
+     (mirrored for k_e - c), ANDed, with the c where two of them meet
+     cleared, and the one c = 0 of the forced part.  A mu that leaves
+     some part no c is dropped; as each vertex label takes a label from
+     every part, a part is rechecked at each slot after its last arc too.
+     On a dicycle the forms are c + P_v, with P_v = sum(vl[j] - mu for
+     j <= v).  At the end of the vertex phase on a digraph with no part of
+     two or more free arcs, mu is fixed and the parts are disjoint, so the
+     completions are counted from the masks: each c of every part but the
+     last, with its labels cleared from the later masks, times the
+     popcount of the last part's mask.  A count-all search adds that count
+     and visits no arc-phase node, so its nodes_visited counts
+     vertex-phase nodes only; a witness search walks the arc phase below a
+     vertex prefix only if the count there is not 0.
 
   After the vertex phase the weight sum S of the target side's k weights
   is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
@@ -316,22 +318,19 @@ def _fitting(cands: list, w: int) -> list:
     return [c for c in cands if c[0] <= w <= c[2] and (w == c[0] or (w - c[0]) % c[1] == 0)]
 
 
-def _rest(coef: list, lo: int, hi: int) -> list:
-    """rest[s] is the least and the greatest sum(coef[v] * vl[v]) over the
-    vertices s.., with distinct labels in lo..hi; rest[V] is (0, 0).
+def _window(coef: list, lo: int, hi: int) -> tuple:
+    """The least and the greatest sum(c * label) over coef, with distinct
+    labels in lo..hi; (0, 0) for no coefficient.
 
     The least, by the rearrangement bound, gives the lowest labels to the
     positive coefficients, largest first, and the highest labels to the
     negative ones, most negative last.  x -> lo + hi - x maps labels in
     lo..hi to labels in lo..hi and the least sum to the greatest.
     """
-    rest = []
-    for s in range(len(coef) + 1):
-        cs = sorted(coef[s:], reverse=True)
-        m = len(cs)
-        least = sum([c * (lo + i if c > 0 else hi - m + 1 + i) for i, c in enumerate(cs)])
-        rest.append((least, (lo + hi) * sum(cs) - least))
-    return rest
+    cs = sorted(coef, reverse=True)
+    m = len(cs)
+    least = sum([c * (lo + i if c > 0 else hi - m + 1 + i) for i, c in enumerate(cs)])
+    return least, (lo + hi) * sum(cs) - least
 
 
 class _Kernel:
@@ -343,8 +342,7 @@ class _Kernel:
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
-                 "rest", "sums", "off", "windows", "forms", "comps", "forced", "fq", "parts",
-                 "cycles",
+                 "rest", "sums", "off", "windows", "forms", "comps", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "seen", "pw")
 
@@ -389,9 +387,9 @@ class _Kernel:
         self.above = [tuple(a) for a in above]
         # the weights of the target side sum to S = total - T on the arc
         # side and S = T on the vertex side, T = sum(coef[v] * vl[v]);
-        # rest[s] bounds T over the vertices s.. (rule 2), and sums has bit
-        # T - off set for each T from off up whose S some progression of
-        # rule 2 takes, else it is None
+        # rest[s] is the _window of T over the vertices s.. (rule 2), and
+        # sums has bit T - off set for each T from off up whose S some
+        # progression of rule 2 takes, else it is None
         arc = t.side == "arc"
         self.coef = [1 - in_deg[v] + out_deg[v] if arc else 1 for v in range(self.V)]
         self.sums = None
@@ -402,7 +400,7 @@ class _Kernel:
         # arc label l in a_lo..a_hi.
         self.arc_magic = t.kind == "magic" and arc
         self.vertex_magic = t.kind == "magic" and not arc
-        self.rest = _rest(self.coef, v_lo, v_hi) \
+        self.rest = [_window(self.coef[s:], v_lo, v_hi) for s in range(self.V + 1)] \
             if self.vertex_magic or t.kind == "arithmetic" else None
         self.arc_window = sum(1 << lab for lab in range(a_lo, a_hi + 1))
         completes = [[] for _ in range(self.V)]
@@ -485,10 +483,12 @@ class _Kernel:
         self.sums = sums
 
     def _vertex_magic_tables(self, g: Digraph, in_deg: list, out_deg: list):
-        """Rule 1 tables of a vertex-magic target.
+        """Rule 1 tables of a vertex-magic target, none past the mu seed if
+        it is empty, as then the search visits no node.
 
         windows[s] is off_lo, off_hi: the arcs of vertex s change its weight
-        by off_lo..off_hi; the V - 1 - s vertex labels after slot s sum to
+        by off_lo..off_hi, the _window of its in-arcs (+1) and out-arcs (-1)
+        over a_lo..a_hi; the V - 1 - s vertex labels after slot s sum to
         rest[s + 1].  comps[s] holds the weakly connected component whose
         last vertex is s, else (); the one that ends at V - 1 is left out,
         as V * mu and the others' sums fix its sum.
@@ -508,26 +508,20 @@ class _Kernel:
         arcs, those whose free part is +f and -f.  The arcs of one signed
         free part of two or more free arcs form a part whose ref is its
         first-written arc, and whose other arcs are plus arcs.  parts[s]
-        holds each part that gets an arc at slot s, as written up to s;
-        cycles holds every part in full, the forced part first, when no part
-        has two or more free arcs (as on a cactus), else None.  forced[s]
-        lists the (e, p) of the forced arcs written before slot s.
+        holds each part with an arc written at or before slot s, as written
+        up to s, the forced part first; cycles is parts[V - 1], every part
+        in full, when no part has two or more free arcs (as on a cactus),
+        else None.
         """
         V, n, arcs = self.V, self.N, g.arcs
-        v_lo, v_hi, a_lo, a_hi = self.v_lo, self.v_hi, self.a_lo, self.a_hi
-
-        def least(d, lo):  # the least sum of d distinct labels from lo up
-            return d * lo + d * (d - 1) // 2
-
-        def most(d, hi):  # the greatest sum of d distinct labels up to hi
-            return d * hi - d * (d - 1) // 2
-
-        self.windows = [(least(in_deg[s], a_lo) - most(out_deg[s], a_hi),
-                         most(in_deg[s], a_hi) - least(out_deg[s], a_lo)) for s in range(V)]
+        self.windows = [_window([1] * in_deg[s] + [-1] * out_deg[s], self.a_lo, self.a_hi)
+                        for s in range(V)]
         # seed: mu inside every vertex's window, and V * mu a sum of V labels
-        lo = max([-(-self.rest[0][0] // V)] + [v_lo + w[0] for w in self.windows])
-        hi = min([self.rest[0][1] // V] + [v_hi + w[1] for w in self.windows])
+        lo = max([-(-self.rest[0][0] // V)] + [self.v_lo + w[0] for w in self.windows])
+        hi = min([self.rest[0][1] // V] + [self.v_hi + w[1] for w in self.windows])
         self.mu_seed = (2 << hi + n) - (1 << lo + n) if lo <= hi else 0
+        if not self.mu_seed:
+            return
         root = list(range(V))
 
         def find(v):
@@ -589,19 +583,18 @@ class _Kernel:
                                         if t <= s and pf == sign and (e, p) != ref)
                                   for sign in (1, -1))
 
-        self.parts = [[] for _ in range(V)]
-        for ref, *arcs in groups.values():
-            for s in sorted({t for t, *_ in arcs}):
-                self.parts[s].append(written_up_to(ref, arcs, s))
-        self.cycles = tuple(written_up_to(ref, arcs, V) for ref, *arcs in groups.values() if arcs) \
-            if all(len(part) < 2 for *_, part in written) else None
-        self.forced = [tuple((e, p) for t, e, p, _ in groups[()][1:] if t < s) for s in range(V)]
+        # each part's arcs are in slot order, so arcs[0][0] is its first slot
+        self.parts = [tuple(written_up_to(ref, arcs, s) for ref, *arcs in groups.values()
+                            if arcs and arcs[0][0] <= s) for s in range(V)]
+        self.cycles = self.parts[-1] if all(len(part) < 2 for *_, part in written) else None
 
     def first_labels(self) -> list[int]:
-        """Slot-0 label choices, in canonical order (for branch splitting);
-        rule 5 leaves vl[0] at most (N + 1) // 2."""
-        hi = (self.N + 1) // 2 if self.mirror else self.v_hi
-        return list(range(self.v_lo, hi + 1)) if self.V else []
+        """Slot-0 label choices, in canonical order (for branch splitting):
+        those of _slot_labels(0)."""
+        if not self.V:
+            return []
+        lo, hi = self._slot_labels(0)
+        return list(range(lo, hi + 1))
 
     def run(self, first_label: int | None = None):
         """Explore the tree (or the branch under first_label).
@@ -635,62 +628,40 @@ class _Kernel:
 
     # -- vertex phase -------------------------------------------------
 
-    def _slot_labels(self, s: int):
-        """Labels vertex slot s may take, before the used and mu checks.
+    def _slot_labels(self, s: int) -> tuple:
+        """The least and the greatest label vertex slot s may take, before
+        the used check and the rules of the target.
 
         Rule 4: above the label of each base point whose basic orbit holds
-        s.  Arc-magic: an arc completed here gets a label in a_lo..a_hi for
-        some mu left only if its base lies within the lowest mu left minus
-        a_hi and the highest minus a_lo.  Vertex-magic: vertex s's weight
-        window and the bound on the remaining labels' sum meet the lowest
-        to highest mu left.
+        s.  Rule 5: vl[0] + vl[s] <= N + 1 on P, so vl[0] <= (N + 1) // 2.
+        Slot 0 reads no placed label, so first_labels may call this before
+        run().
         """
         lo, hi = self.v_lo, self.v_hi
-        vl = self.vl
         for b in self.above[s]:
-            if vl[b] >= lo:
-                lo = vl[b] + 1
+            x = self.vl[b] + 1
+            if x > lo:
+                lo = x
         if s in self.mirror:
-            # rule 5: vl[0] + vl[s] <= N + 1, so vl[0] <= (N + 1) // 2
-            x = self.N + 1 - vl[0] if s else (self.N + 1) // 2
+            x = self.N + 1 - self.vl[0] if s else (self.N + 1) // 2
             if x < hi:
                 hi = x
-        if self.completes[s]:
-            mus = self.mus
-            blo = (mus & -mus).bit_length() - 1 - self.N - self.a_hi
-            bhi = mus.bit_length() - 1 - self.N - self.a_lo
-            for other, sign in self.completes[s]:
-                o = vl[other]
-                # sign * (lab - o) in blo..bhi
-                a, b = (blo + o, bhi + o) if sign > 0 else (o - bhi, o - blo)
-                if a > lo:
-                    lo = a
-                if b < hi:
-                    hi = b
-        elif self.vertex_magic:
-            mus = self.mus
-            mlo = (mus & -mus).bit_length() - 1 - self.N
-            mhi = mus.bit_length() - 1 - self.N
-            off_lo, off_hi = self.windows[s]
-            rest_lo, rest_hi = self.rest[s + 1]
-            placed = sum(vl[:s])
-            lo = max(lo, mlo - off_hi, self.V * mlo - placed - rest_hi)
-            hi = min(hi, mhi - off_lo, self.V * mhi - placed - rest_lo)
-        return range(lo, hi + 1)
+        return lo, hi
 
     def _vertex_slot(self, s: int, only: int | None = None):
         if s == self.V:
             self._boundary()
             return
-        labels = self._slot_labels(s)
+        lo, hi = self._slot_labels(s)
         if only is not None:
-            labels = (only,) if only in labels else ()
+            lo, hi = max(lo, only), min(hi, only)
         if self.arc_magic:
-            self._vertex_slot_arc_magic(s, labels)
+            self._vertex_slot_arc_magic(s, lo, hi)
             return
         if self.vertex_magic:
-            self._vertex_slot_vertex_magic(s, labels)
+            self._vertex_slot_vertex_magic(s, lo, hi)
             return
+        labels = range(lo, hi + 1)
         if self.sums is not None:
             labels = self._sum_cut(s, labels)
         vl, used = self.vl, self.used
@@ -715,14 +686,28 @@ class _Kernel:
         c, width, sums = self.coef[s], (2 << hi - lo) - 1, self.sums
         return [lab for lab in labels if sums >> base + c * lab & width]
 
-    def _vertex_slot_arc_magic(self, s: int, labels):
-        """Arc-magic slot: label x keeps the mu left that give no completed
-        arc the label x and, for each arc completed here with a new base b,
-        an unused label mu - b in a_lo..a_hi (rule 1)."""
+    def _vertex_slot_arc_magic(self, s: int, lo: int, hi: int):
+        """Arc-magic slot (rule 1): an arc completed here gets a label in
+        a_lo..a_hi for some mu left only if its base lies within the lowest
+        mu left minus a_hi and the highest minus a_lo, which narrows lo..hi.
+        Label x keeps the mu left that give no completed arc the label x
+        and, for each arc completed here with a new base b, an unused label
+        mu - b in a_lo..a_hi."""
         vl, n, window = self.vl, self.N, self.arc_window
         completes = self.completes[s]
         mus, bases, vmask = self.mus, self.bases, self.vmask
-        for x in labels:
+        if completes:
+            blo = (mus & -mus).bit_length() - 1 - n - self.a_hi
+            bhi = mus.bit_length() - 1 - n - self.a_lo
+            for other, sign in completes:
+                o = vl[other]
+                # sign * (x - o) in blo..bhi
+                a, b = (blo + o, bhi + o) if sign > 0 else (o - bhi, o - blo)
+                if a > lo:
+                    lo = a
+                if b < hi:
+                    hi = b
+        for x in range(lo, hi + 1):
             bit = 1 << x
             if vmask & bit:
                 continue
@@ -746,37 +731,37 @@ class _Kernel:
                 break
         self.mus, self.bases, self.vmask = mus, bases, vmask
 
-    def _vertex_slot_vertex_magic(self, s: int, labels):
+    def _vertex_slot_vertex_magic(self, s: int, lo: int, hi: int):
         """Vertex-magic slot (rule 1): label x keeps the mu left inside x
         plus vertex s's weight window and inside the bound from the
-        remaining labels' sum, and drops each mu that puts a forced arc
-        written before s on x; _settle adds what becomes known at s."""
+        remaining labels' sum, so lo..hi narrows to the labels whose window
+        meets the lowest to highest mu left; _settle then rechecks every
+        part with an arc written so far, and adds what becomes known at s."""
         vl, used, n, V = self.vl, self.used, self.N, self.V
-        mus, fq, forced = self.mus, self.fq, self.forced[s]
-        vmask = self.vmask
+        mus, vmask = self.mus, self.vmask
         off_lo, off_hi = self.windows[s]
         rest_lo, rest_hi = self.rest[s + 1]
-        settle = self.forms[s] or self.comps[s]
         placed = sum(vl[:s])
-        for x in labels:
+        mlo = (mus & -mus).bit_length() - 1 - n
+        mhi = mus.bit_length() - 1 - n
+        lo = max(lo, mlo - off_hi, V * mlo - placed - rest_hi)
+        hi = min(hi, mhi - off_lo, V * mhi - placed - rest_lo)
+        settle = self.parts[s] or self.comps[s]
+        for x in range(lo, hi + 1):
             if used[x]:
                 continue
-            # lo >= 1, as the labels sum to at least 1; unrolled: max() and
+            # mlo >= 1, as the labels sum to at least 1; unrolled: max() and
             # min() cost more
-            lo, hi = x + off_lo, x + off_hi
+            mlo, mhi = x + off_lo, x + off_hi
             a = -(-(placed + x + rest_lo) // V)
-            if a > lo:
-                lo = a
+            if a > mlo:
+                mlo = a
             a = (placed + x + rest_hi) // V
-            if a < hi:
-                hi = a
-            if lo > hi:
+            if a < mhi:
+                mhi = a
+            if mlo > mhi:
                 continue
-            m = mus & (2 << hi + n) - (1 << lo + n)
-            for e, p in forced:
-                mu, r = divmod(x - fq[e], p)
-                if not r and lo <= mu <= hi:
-                    m &= ~(1 << mu + n)
+            m = mus & (2 << mhi + n) - (1 << mlo + n)
             if not m:
                 continue
             vl[s] = x
@@ -798,8 +783,10 @@ class _Kernel:
     def _settle(self, s: int, m: int) -> int:
         """m narrowed by what vertex slot s makes known (rule 1): the sum of
         a component that ends at s, and the tree arcs written at s.  Each
-        mu left must leave each part that gets an arc at s some c in its
-        mask (_part_mask); vertex s is placed already."""
+        mu left must leave every part with an arc written at or before s
+        some c in its mask (_part_mask), as the label of vertex s, placed
+        already, is free for no arc; the forced part is such a part like
+        any other."""
         vl, n, fq = self.vl, self.N, self.fq
         comp = self.comps[s]
         if comp:

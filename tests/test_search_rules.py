@@ -9,7 +9,8 @@ bound from the remaining labels' sum, a component's last vertex fixes mu
 by the component's label sum, and the tree arcs of a spanning forest,
 written as soon as their side is placed, drop every mu that leaves some
 part no value in its label mask: the forced part, a single-free-arc part
-or a part with two or more free arcs.  Where no part has two or more
+or a part with two or more free arcs.  Every vertex label rechecks each
+part with an arc written so far.  Where no part has two or more
 free arcs the completions are counted from those masks: a count-all
 search adds the count, and a witness search walks the arc phase only
 below a vertex prefix whose count is not 0.  Distinctness
@@ -134,6 +135,10 @@ def examples(*cases):
     # 13 solutions; a part with two free arcs whose arcs are not offset
     # from its first-written arc finds 8
     (Digraph(3, ((1, 2), (2, 0), (1, 0), (0, 1))), Target("vertex", "magic")),
+    # 6 solutions; the free arc's part has its last arc written at slot 1,
+    # and the label of the isolated vertex 3, placed after it, can leave
+    # that part no label: the recheck at slot 3 cuts 19 nodes to 13
+    (Digraph(4, ((0, 1), (1, 2), (2, 0))), Target("vertex", "magic")),
 )
 # the arc window is the one label 1, beside an isolated vertex: the forced
 # arc's label lies further from 0 than the window is wide; 1 solution
@@ -218,25 +223,33 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
         Target("vertex", "arithmetic", 6, 1), 6345, 266),
     pin("friendship-2-sa-al-a6-d1", build_family("friendship", 2),
         Target("arc", "arithmetic", 6, 1), 5440, 1384),
-    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 1176, 13),
-    pin("cycle-6-svml", build_family("cycle", 6), SVML, 563, 0),
+    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 926, 13),
+    pin("cycle-6-svml", build_family("cycle", 6), SVML, 545, 0),
     pin("path-5-alternating-saml", build_family("path", 5, orientation="alternating"), SAML,
         1080, 96),
     pin("tadpole-3-2-saml", build_family("tadpole", 3, t=2), SAML, 452, 0),
     pin("path-6-svml", build_family("path", 6), SVML, 363, 0),
     pin("star-5-in-svml", build_family("star", 5, orientation="in"), SVML, 0, 0),
     pin("wheel-4-svml", build_family("wheel", 4), SVML, 0, 0),
-    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 8012, 25),
-    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 230, 1,
+    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 6480, 25),
+    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 189, 1,
+        mode="first-witness"),
+    # every slot rechecks each part with an arc written so far, so a vertex
+    # label placed after a part's last arc cuts the prefix there: a kernel
+    # that checks each part only at its own slots visits 2,782, 3,075 and
+    # 503 nodes
+    pin("butterfly-3-svml", build_family("butterfly", 3), SVML, 1947, 192),
+    pin("friendship-2-svml", build_family("friendship", 2), SVML, 2270, 192),
+    pin("tadpole-3-3-svml-first-witness", build_family("tadpole", 3, t=3), SVML, 388, 1,
         mode="first-witness"),
     # wheel(3) reaches a part with two free arcs; wheel(4)'s mu seed is empty
     pin("wheel-3-svml", build_family("wheel", 3), SVML, 19, 0),
     pin("wheel-3-svml-first-witness", build_family("wheel", 3), SVML, 47, 0,
         mode="first-witness"),
     # the sum of the first component fixes mu at its last vertex; without
-    # that cut the count-all search visits 157 nodes and counts 10
+    # that cut the count-all search visits 147 nodes and counts 10
     # labelings whose vertex weights differ
-    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 56, 0),
+    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 52, 0),
 ])
 def test_pinned_node_counts(query, nodes, solutions):
     # wheel(4) has 13 labels, over the default cap
