@@ -84,12 +84,22 @@ Two enumerators produce the same results:
      highest to the most negative ones, and the greatest mirrors it.
      Where the window is one value, as when only vertices of coefficient 0
      are left, the cut is exact;
-  3. candidate span: all candidates are centred on S / k, so the one with
-     the largest d spans the others.  An arc-side slot offers only the
-     labels whose weight lies in that span; a vertex-side slot only those
-     that leave both endpoints able to reach it, with their open arcs.
-     For a vertex-magic target the span is mu..mu, so the last open arc
-     of a vertex has a forced label.
+  3. candidate span and term masks: all candidates are centred on S / k,
+     so the one with the largest d spans the others.  A vertex-side slot
+     offers only the labels that leave both endpoints able to reach that
+     span, with their open arcs, and checks each weight it closes against
+     a set of the weights seen and against the candidates (_fitting).  For
+     a vertex-magic target the span is mu..mu, so the last open arc of a
+     vertex has a forced label.  An arc-side slot works on bitmasks
+     instead, with bit w + N for weight w, as no arc weighs less than
+     2 - N: a free-label mask of the unused arc labels, a seen-weight mask
+     of the weights fixed so far, and per candidate a term mask of its k
+     terms.  Label l of an arc with base b weighs l + b, so the slot
+     offers the bits of the free-label mask under the OR of the kept term
+     masks, less the seen weights, shifted down by b + N: exactly the
+     labels whose weight is new and a term of a candidate left.  An
+     antimagic target has no term mask, and only the seen weights count.
+     A placed weight keeps the term masks that hold it.
 
   Arc-magic arc labels are all forced by rule 1 and are placed in one
   pass.  Distinctness targets also cut a weight equal to one fixed before
@@ -139,9 +149,11 @@ Two enumerators produce the same results:
   How far each endpoint's weight can still move, and which vertex weights
   an arc settles, depend only on the arc order, so they are tabled once
   per kernel.  The vertex phase and the arc-side loops count a node only
-  for a placement that passes their rules; the vertex-side arc loop
-  counts every placement of an unused label in the slot's narrowed range
-  and checks the settled weights after it;
+  for a placement that passes their rules, and the last arc of an
+  arc-side count-all search, which has one free label, is counted without
+  a call; the vertex-side arc loop counts every placement of an unused
+  label in the slot's narrowed range and checks the settled weights after
+  it;
 * the reference enumerator (`_reference`) is the oracle: it walks every
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
@@ -912,10 +924,17 @@ class _Kernel:
             cands = self._progressions(k, s, lo, hi)
             if not cands:
                 return
-        self.seen = set()
         if arc:
-            self._arc_slot_arc_distinct(0, cands)
+            # bit w + N stands for arc weight w >= 2 - N; each candidate
+            # becomes the mask of its k terms, a repunit of period d
+            n, free = self.N, self.arc_window
+            for x in vl:
+                free &= ~(1 << x)
+            terms = None if cands is None else \
+                [((1 << k * d) - 1) // ((1 << d) - 1) << a + n for a, d, _ in cands]
+            self._arc_slot_arc(0, free, 0, terms)
             return
+        self.seen = set()
         # vertex-side targets track partial vertex weights through the arc
         # phase; an isolated vertex's weight is its label, final already
         self.pw = list(vl)
@@ -990,35 +1009,43 @@ class _Kernel:
         self.nodes += self.A
         self._leaf()
 
-    def _arc_slot_arc_distinct(self, k: int, cands):
-        if k == self.A:
-            self._leaf()
+    def _arc_slot_arc(self, k: int, free: int, seen: int, terms):
+        """Arc-side antimagic or arithmetic slot k: free has a bit per unused
+        arc label, seen a bit w + N per weight w fixed so far, and terms the
+        term masks of the candidates that every fixed weight is a term of
+        (None for antimagic).  Label l of an arc with base b weighs l + b, so
+        the labels allowed are the bits of free whose weight bit is in some
+        kept term mask and not in seen.  The last arc has one free label: a
+        count-all search counts it without a call."""
+        shift = self.vl[self.heads[k]] - self.vl[self.tails[k]] + self.N
+        if terms is None:
+            labels = free & ~(seen >> shift)
+        else:
+            union = 0
+            for t in terms:
+                union |= t
+            labels = free & (union & ~seen) >> shift
+        last = k + 1 == self.A
+        if last and not self.cap:
+            if labels:
+                self.nodes += 1
+                self.count += self.weight
             return
-        base = self.vl[self.heads[k]] - self.vl[self.tails[k]]
-        al, used, seen = self.al, self.used, self.seen
-        lo, hi = self.a_lo, self.a_hi
-        if cands is not None:
-            # the weight lab + base must lie in the widest candidate
-            a, _, top = cands[-1]
-            lo, hi = max(lo, a - base), min(hi, top - base)
-        keep = cands
-        for lab in range(lo, hi + 1):
-            if used[lab]:
-                continue
-            w = lab + base
-            if w in seen:
-                continue
-            if cands is not None:
-                keep = _fitting(cands, w)
-                if not keep:
-                    continue
-            used[lab] = True
+        al = self.al
+        while labels:
+            bit = labels & -labels
+            labels ^= bit
+            lab = bit.bit_length() - 1
+            wbit = 1 << lab + shift
             al[k] = lab
             self.nodes += 1
-            seen.add(w)
-            self._arc_slot_arc_distinct(k + 1, keep)
-            seen.discard(w)
-            used[lab] = False
+            if last:
+                self._leaf()
+            elif terms is None or len(terms) == 1:
+                self._arc_slot_arc(k + 1, free ^ bit, seen | wbit, terms)
+            else:
+                self._arc_slot_arc(k + 1, free ^ bit, seen | wbit,
+                                   [t for t in terms if t & wbit])
             if self.stopped:
                 return
 
@@ -1141,7 +1168,7 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     up to `workers` - 1 children forked from it, which share the kernel
     built here, and merges them in first-label order, so the report, node
     count included, is the single-worker one.  It needs `os.fork` (POSIX);
-    elsewhere `workers` > 1 raises ValueError.
+    elsewhere `workers` > 1 raises ValueError, as does a negative cap.
     A query with a witness bound (first-witness, collect-up-to) runs one
     kernel in this process whatever `workers` is, so it stops at its bound
     exactly where a single worker does.  `pruned=False` runs the reference
@@ -1152,6 +1179,8 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     _require_int(cap, "cap")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; "
                          f"use workers=1")

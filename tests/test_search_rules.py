@@ -37,8 +37,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sublabel import (Digraph, SearchQuery, Target, build_family, classify,
-                      longest_circuit, mu_bounds, search)
+from sublabel import (Digraph, SearchCapError, SearchQuery, Target, build_family,
+                      classify, longest_circuit, mu_bounds, search)
 from sublabel.search import _Kernel, _report
 
 MAX_LABELS = 8
@@ -160,6 +160,29 @@ def examples(*cases):
 # the lowest, as to the other vertices, the bound cuts every solution
 @example(graph=Digraph(5, ((3, 4), (2, 1), (1, 4))), target=Target("arc", "arithmetic"),
          strong=False, strong_star=False, limit=10 ** 9, forked=True)
+# the arc phase's free-label mask is the arc window less the vertex labels:
+# under --strong the vertices take 1..3, outside the window 4..6, so none
+# is cleared; 36 and 24 solutions
+@example(graph=Digraph(3, ((0, 1), (1, 2), (2, 0))), target=Target("arc", "antimagic"),
+         strong=True, strong_star=False, limit=10 ** 9, forked=True)
+@example(graph=Digraph(3, ((0, 1), (1, 2), (2, 0))), target=Target("arc", "arithmetic"),
+         strong=True, strong_star=False, limit=10 ** 9, forked=True)
+# under --strong-star the arcs take 1..3 and the vertices 4..7; 72 and 36
+@example(graph=Digraph(4, ((0, 1), (0, 2), (0, 3))), target=Target("arc", "antimagic"),
+         strong=False, strong_star=True, limit=10 ** 9, forked=True)
+@example(graph=Digraph(4, ((0, 1), (0, 2), (0, 3))), target=Target("arc", "arithmetic"),
+         strong=False, strong_star=True, limit=10 ** 9, forked=True)
+# every base of an in-star is the centre's label less a leaf's, mostly
+# negative, and the first witness weighs -4, 0 and 4, two of them below 1:
+# the term and seen-weight masks set bit w + N for weight w >= 2 - N;
+# 24 solutions
+@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), target=Target("arc", "arithmetic", a=-4),
+         strong=False, strong_star=False, limit=10 ** 9, forked=True)
+# the arc labels are walked low bit first, so the first three witnesses
+# are vertex labels 1..5 with arc labels 6, 7, 8 then 7, 6, 8 then 8, 6, 7;
+# 6, 8, 7 is skipped, as it gives the first two arcs the weight 7
+@example(graph=Digraph(5, ((0, 1), (2, 1), (3, 4))), target=Target("arc", "antimagic"),
+         strong=False, strong_star=False, limit=3, forked=True)
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
                     require_strong_star=strong_star, mode="collect-up-to", limit=limit)
@@ -439,6 +462,14 @@ def test_search_rejects_fewer_than_one_worker():
     for workers in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="workers"):
             search(q, workers=workers)
+
+
+def test_search_rejects_a_negative_cap():
+    # a cap of -1 used to refuse every graph as "over the search cap of -1"
+    q = SearchQuery(build_family("path", 2), Target("arc", "magic"))
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1") as info:
+        search(q, cap=-1)
+    assert not isinstance(info.value, SearchCapError)
 
 
 # on path(3) a float limit collected 3 witnesses and a bool cap passed as 1
