@@ -394,9 +394,9 @@ def test_search_workers_flag(capsys):
     (["--class", "saal", "--d", "1"], "arithmetic targets only"),
     (["--class", "saal", "--workers", "0"], "workers"),
     (["--class", "saal", "--workers", "-3"], "workers"),
-    (["--class", "saal", "--cap", "-1"], "cap must be at least 0, got -1"),
     (["--class", "saal", "--limit", "5"], "collect-up-to mode only"),
     (["--class", "saal", "--mode", "first-witness", "--limit", "5"], "collect-up-to mode only"),
+    (["--class", "saal", "--cap", "-1"], "cap must be at least 0, got -1"),
 ])
 def test_search_rejects_bad_target_and_worker_options(capsys, extra, message):
     code, stdout, err = run(capsys, "search", "--family", "cycle", "--n", "3", *extra)
