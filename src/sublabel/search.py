@@ -84,29 +84,34 @@ Two enumerators produce the same results:
      highest to the most negative ones, and the greatest mirrors it.
      Where the window is one value, as when only vertices of coefficient 0
      are left, the cut is exact;
-  3. candidate span and term masks: all candidates are centred on S / k,
-     so the one with the largest d spans the others.  A vertex-side slot
-     offers only the labels that leave both endpoints able to reach that
-     span, with their open arcs, and checks each weight it closes against
-     a set of the weights seen and against the candidates (_fitting).  For
-     a vertex-magic target the span is mu..mu, so the last open arc of a
-     vertex has a forced label.  An arc-side slot works on bitmasks
-     instead, with bit w + N for weight w, as no arc weighs less than
-     2 - N: a free-label mask of the unused arc labels, a seen-weight mask
-     of the weights fixed so far, and per candidate a term mask of its k
-     terms.  Label l of an arc with base b weighs l + b, so the slot
-     offers the bits of the free-label mask under the OR of the kept term
-     masks, less the seen weights, shifted down by b + N: exactly the
-     labels whose weight is new and a term of a candidate left.  An
-     antimagic target has no term mask, and only the seen weights count.
-     A placed weight keeps the term masks that hold it.
+  3. seen and term masks: on either side a weight is checked as soon as it
+     is fixed.  A distinctness target cuts it if it equals a weight fixed
+     before it, and a magic or arithmetic target if it is a term of no
+     candidate left.  Both are bitmask tests, with bit w + off for weight w,
+     off making every weight the side can reach a non-negative bit: N on
+     the arc side, as no arc weighs less than 2 - N, and on the vertex side
+     minus the least weight that any vertex can reach.  A seen-weight mask
+     holds the weights fixed so far, and each candidate a term mask of its
+     k terms, the one bit mu for a magic target.  A weight that passes keeps
+     the term masks that hold it; an antimagic target has no term mask, and
+     only the seen weights count.  An arc-side slot keeps a free-label mask
+     of the unused arc labels too.  Label l of an arc with base b weighs
+     l + b, so the slot offers the bits of the free-label mask under the OR
+     of the kept term masks, less the seen weights, shifted down by b + N:
+     exactly the labels whose weight is new and a term of a candidate
+     left.  A vertex-side slot closes a vertex weight only at the vertex's
+     last arc.  All candidates are centred on S / k, so the one with the
+     largest d spans the others, and the slot offers only the labels that
+     leave both endpoints able to reach that span with their open arcs,
+     then checks each weight it closes against the masks.  For a
+     vertex-magic target the span is mu..mu, so the last open arc of a
+     vertex has a forced label, and the weight it closes is mu, checked by
+     the span alone.
 
   Arc-magic arc labels are all forced by rule 1 and are placed in one
-  pass.  Distinctness targets also cut a weight equal to one fixed before
-  it, as soon as it is fully determined.  Every leaf therefore holds k
-  weights that are equal, or distinct and for arithmetic targets all
-  terms of one k-term progression, and is counted without its weights
-  being rebuilt or classified.
+  pass.  Every leaf therefore holds k weights that are equal, or distinct
+  and for arithmetic targets all terms of one k-term progression, and is
+  counted without its weights being rebuilt or classified.
 
   A count-all search also cuts the symmetry of the graph.  An
   automorphism maps vertex labels to vertex labels and arc labels to arc
@@ -324,10 +329,11 @@ class SearchReport:
         }
 
 
-def _fitting(cands: list, w: int) -> list:
-    """The candidate progressions (a, d, top) that have w as a term; d is 0
-    for the one term of a magic target."""
-    return [c for c in cands if c[0] <= w <= c[2] and (w == c[0] or (w - c[0]) % c[1] == 0)]
+def _terms(k: int, a: int, d: int, off: int) -> int:
+    """The term mask of the progression a, a + d, .., a + (k-1)d: bit w + off
+    for each term w, a repunit of period d; the one bit a + off for the
+    one-term span of a magic target, whose d is 0."""
+    return ((1 << k * d) - 1) // ((1 << d) - 1) << a + off if d else 1 << a + off
 
 
 def _window(coef: list, lo: int, hi: int) -> tuple:
@@ -356,7 +362,7 @@ class _Kernel:
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
                  "rest", "sums", "off", "windows", "forms", "comps", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
-                 "mus", "bases", "vmask", "seen", "pw")
+                 "mus", "bases", "vmask", "w_off", "pw")
 
     def __init__(self, query: SearchQuery):
         g = query.graph
@@ -433,10 +439,12 @@ class _Kernel:
         # lo, hi of the tail, then of the head of arc k: the arcs of that
         # endpoint after k change its weight by lo..hi, as each adds 1..N
         # (in-arc) or takes 1..N away (out-arc), and 0, 0 once k is its last
-        # arc.  v_reach[v] is the window of v over the whole arc phase.
-        # closes[k] lists the endpoints (tail first) whose last arc is k, for
-        # the duplicate check; a magic weight closed inside rule 3's span is
-        # mu, so magic targets check none.
+        # arc.  v_reach[v] is the window of v over the whole arc phase, and
+        # w_off minus the least weight it lets any vertex reach: bit w + w_off
+        # of rule 3's masks stands for vertex weight w.  closes[k] lists the
+        # endpoints (tail first) whose last arc is k, whose weights rule 3's
+        # masks check; a magic weight closed inside rule 3's span is mu, so
+        # magic targets check none.
         n = self.N
         rin, rout = in_deg[:], out_deg[:]
 
@@ -444,6 +452,7 @@ class _Kernel:
             return rin[v] - rout[v] * n, rin[v] * n - rout[v]
 
         self.v_reach = [window(v) for v in range(self.V)]
+        self.w_off = -v_lo - min([lo for lo, _ in self.v_reach], default=0)
         self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
         self.closes, self.reach = [], []
         for tail, head in g.arcs:
@@ -478,7 +487,7 @@ class _Kernel:
         if arc:
             lo, hi = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo
         else:
-            lo = v_lo + min([r for r, _ in self.v_reach])
+            lo = -self.w_off
             hi = v_hi + max([r for _, r in self.v_reach])
         half = k * (k - 1) // 2
         for d in (t.d,) if t.d else range(1, (hi - lo) // (k - 1) + 1):
@@ -930,22 +939,25 @@ class _Kernel:
             n, free = self.N, self.arc_window
             for x in vl:
                 free &= ~(1 << x)
-            terms = None if cands is None else \
-                [((1 << k * d) - 1) // ((1 << d) - 1) << a + n for a, d, _ in cands]
+            terms = None if cands is None else [_terms(k, a, d, n) for a, d, _ in cands]
             self._arc_slot_arc(0, free, 0, terms)
             return
-        self.seen = set()
-        # vertex-side targets track partial vertex weights through the arc
-        # phase; an isolated vertex's weight is its label, final already
+        # bit w + w_off stands for vertex weight w; each candidate becomes
+        # (term mask, a, top).  Vertex-side targets track partial vertex
+        # weights through the arc phase; an isolated vertex's weight is its
+        # label, final already, and distinct from the others
+        off, seen = self.w_off, 0
+        if cands is not None:
+            cands = [(_terms(k, a, d, off), a, top) for a, d, top in cands]
         self.pw = list(vl)
         for v in self.isolated:
-            w = vl[v]
+            bit = 1 << vl[v] + off
             if cands is not None:
-                cands = _fitting(cands, w)
-            if w in self.seen or cands == []:
-                return
-            self.seen.add(w)
-        self._arc_slot_vertex(0, cands)
+                cands = [c for c in cands if c[0] & bit]
+                if not cands:
+                    return
+            seen |= bit
+        self._arc_slot_vertex(0, cands, seen)
 
     def _completions(self, parts: tuple, mu: int, free: int) -> int:
         """The number of ways to label the arcs of parts, the forced part and
@@ -1051,18 +1063,25 @@ class _Kernel:
 
     # -- arc phase, vertex-side targets ----------------------------------
 
-    def _arc_slot_vertex(self, k: int, cands):
+    def _arc_slot_vertex(self, k: int, cands, seen: int):
+        """Vertex-side slot k: cands holds the (term mask, a, top) of each
+        candidate progression a..top that every closed weight is a term of
+        (None for antimagic), by rising d, and seen a bit w + w_off per
+        vertex weight w closed so far.  Each unused label in the range that
+        keeps both endpoints able to reach the last candidate's span is
+        placed, and the weights it closes are cut where their bit is in seen
+        or in no term mask left."""
         if k == self.A:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
-        al, used, pw, seen = self.al, self.used, self.pw, self.seen
+        al, used, pw, off = self.al, self.used, self.pw, self.w_off
         lo, hi = self.a_lo, self.a_hi
         if cands is not None:
             # the final weights of both endpoints must reach the widest
             # candidate; for magic targets this forces the label of an arc
             # that closes an endpoint.  Unrolled: min() and max() cost more.
-            slo, _, shi = cands[-1]
+            _, slo, shi = cands[-1]
             t_lo, t_hi, h_lo, h_hi = self.reach[k]
             x = pw[ti] + t_lo - shi
             if x > lo:
@@ -1086,24 +1105,20 @@ class _Kernel:
             pw[ti] -= lab
             pw[hi_v] += lab
             if not closes:
-                self._arc_slot_vertex(k + 1, cands)
+                self._arc_slot_vertex(k + 1, cands, seen)
             else:
-                keep = cands
-                added = []
+                keep, now = cands, seen
                 for v in closes:
-                    w = pw[v]
-                    if w in seen:
+                    bit = 1 << pw[v] + off
+                    if now & bit:
                         break
+                    now |= bit
                     if keep is not None:
-                        keep = _fitting(keep, w)
+                        keep = [c for c in keep if c[0] & bit]
                         if not keep:
                             break
-                    seen.add(w)
-                    added.append(w)
                 else:
-                    self._arc_slot_vertex(k + 1, keep)
-                for w in added:
-                    seen.discard(w)
+                    self._arc_slot_vertex(k + 1, keep, now)
             pw[ti] += lab
             pw[hi_v] -= lab
             used[lab] = False

@@ -18,9 +18,10 @@ targets cut duplicate weights as soon as they are fixed.  An arithmetic
 target cuts a vertex prefix whose weight sum, bounded over the labels
 still to place, no progression can take, and in the arc phase keeps only
 the progressions that the fixed weight sum allows and that every fixed
-weight is a term of.  On the
-vertex side magic and arithmetic targets keep each vertex able to reach
-the widest candidate progression, the one term mu for a magic target.  The
+weight is a term of.  Both sides check each new weight against a
+seen-weight mask and the candidates' term masks.  On the vertex side
+magic and arithmetic targets also keep each vertex able to reach the
+widest candidate progression, the one term mu for a magic target.  The
 pruned kernel must agree with the reference enumerator on random digraphs
 for every target kind, and the node counts of a few instances are pinned
 so that any change to the rules shows."""
@@ -115,6 +116,10 @@ def examples(*cases):
     (Digraph(3, ()), Target("vertex", "arithmetic")),
     (Digraph(3, ()), Target("vertex", "antimagic")),
     (Digraph(3, ((0, 1),)), Target("vertex", "arithmetic", a=1)),
+    # the isolated vertex 3 weighs its label before the arc phase: left
+    # out of the seen mask, it lets a closed weight repeat it, and the
+    # count-all search finds 608 labelings, not 488
+    (Digraph(4, ((0, 1), (0, 2))), Target("vertex", "antimagic")),
     # in-degree and out-degree differ, so the dual does not keep the
     # vertex class, and the count-all search must not cut the dual
     (Digraph(3, ((0, 1), (1, 0), (2, 0))), Target("vertex", "arithmetic")),
@@ -182,6 +187,19 @@ def examples(*cases):
 # are vertex labels 1..5 with arc labels 6, 7, 8 then 7, 6, 8 then 8, 6, 7;
 # 6, 8, 7 is skipped, as it gives the first two arcs the weight 7
 @example(graph=Digraph(5, ((0, 1), (2, 1), (3, 4))), target=Target("arc", "antimagic"),
+         strong=False, strong_star=False, limit=3, forked=True)
+# the centre of an out-star with one more arc into a leaf weighs its label
+# less two arc labels, -11 in both witnesses, below every vertex label: the
+# vertex-side seen and term masks set bit w + w_off for weight w, w_off
+# minus the least weight any vertex can reach; 2 solutions
+@example(graph=Digraph(4, ((0, 1), (0, 2), (3, 1))), target=Target("vertex", "arithmetic", a=-11),
+         strong=False, strong_star=False, limit=10 ** 9, forked=True)
+# the isolated vertex 3 weighs its label, set in the seen mask and checked
+# against the term masks before the arc phase, beside a centre of negative
+# weight; the first three witnesses pin the order, of 488 and 14 solutions
+@example(graph=Digraph(4, ((0, 1), (0, 2))), target=Target("vertex", "antimagic"),
+         strong=False, strong_star=False, limit=3, forked=True)
+@example(graph=Digraph(4, ((0, 1), (0, 2))), target=Target("vertex", "arithmetic"),
          strong=False, strong_star=False, limit=3, forked=True)
 def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, forked):
     q = SearchQuery(graph, target, require_strong=strong,
@@ -273,6 +291,13 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     # that cut the count-all search visits 147 nodes and counts 10
     # labelings whose vertex weights differ
     pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 52, 0),
+    # the vertex-side arc loop on the seen and term masks: a vertex
+    # antimagic count-all search, and the costliest witness walk the README
+    # quotes, with no symmetry cut
+    pin("star-4-in-sval", build_family("star", 4, orientation="in"),
+        Target("vertex", "antimagic"), 35907, 203616),
+    pin("wheel-4-sv-al-first-witness", build_family("wheel", 4), Target("vertex", "arithmetic"),
+        448390, 1, mode="first-witness"),
 ])
 def test_pinned_node_counts(query, nodes, solutions):
     # wheel(4) has 13 labels, over the default cap
