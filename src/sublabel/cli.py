@@ -16,7 +16,7 @@ import sys
 from .constructions import CONSTRUCTION_KINDS, construct
 from .digraph import build_family
 from .document import LabelingDocument, from_json, to_dot
-from .labeling import classify, weight_profile
+from .labeling import classify, validate_labeling, weight_profile
 from .search import DEFAULT_CAP, SEARCH_MODES, SearchQuery, Target, search
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `yes | head`
@@ -142,6 +142,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = from_json(_read_input(args.input))
+    if doc.labeling is not None:
+        validate_labeling(doc.graph, doc.labeling)
     rendered = to_dot(doc) if args.format == "dot" else doc.to_json()
     _write_output(rendered, args.out)
     return 0

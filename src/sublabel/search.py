@@ -7,8 +7,15 @@ order over that slot sequence, which makes every result reproducible.
 Two enumerators produce the same results:
 
 * the pruned kernel (`_Kernel`) places labels slot by slot and cuts
-  branches with rules taken from the definitions.  Magic targets are
-  settled while the vertex labels are placed:
+  branches with rules taken from the definitions.  It bounds a signed sum
+  of labels by its window, that of `_window`: the least and the greatest
+  sum(c * label) over coefficients c with distinct labels in a range, the
+  rearrangement bound, which gives the lowest labels to the largest
+  positive coefficients and the highest to the most negative ones, the
+  greatest mirroring the least.  The reach window of a vertex
+  is that of its arcs still open, +1 for an in-arc and -1 for an out-arc,
+  over the arc labels a_lo..a_hi: how far its weight can still move.
+  Magic targets are settled while the vertex labels are placed:
 
   1. magic constant: the vertex phase keeps the set of mu that the labels
      placed so far allow, as a bitmask, and cuts a prefix with no mu left.
@@ -23,10 +30,9 @@ Two enumerators produce the same results:
      sum(vl) + A * mu - sum(b_i), which rises with mu, so on a digraph
      with arcs exactly one mu is left, and it forces every arc label.
      On the vertex side vertex v weighs vl[v] plus its in-arc labels minus
-     its out-arc labels, so mu lies in vl[v] plus a window fixed by its
-     degrees and the arc label range; V * mu is the sum of the vertex
-     labels, so it lies in the placed labels' sum plus the least to the
-     greatest sum of the labels still to place, which fixes mu at the
+     its out-arc labels, so mu lies in vl[v] plus its reach window; V * mu
+     is the sum of the vertex labels, so it lies in the placed labels' sum
+     plus the window of the labels still to place, which fixes mu at the
      last slot; and a weakly connected component's arcs add to its weight
      sum what they take from it, so mu is its label sum over its size.  A
      spanning forest grown in arc order writes each tree arc's label as
@@ -68,32 +74,34 @@ Two enumerators produce the same results:
   2. progression candidates: a magic target's weights form the one-term
      progression mu..mu, with mu = S / k.  An arithmetic target's can only
      be a progression a, a + d, .., a + (k-1)d with
-     k * a + d * k(k-1)/2 = S, inside the range the weights can reach and
-     with the given a and d.  Each weight of an arithmetic target drops,
-     once it is fixed, the candidates it is not a term of, and a branch
-     with none left is cut.  The vertex phase already cuts a prefix that
-     can reach no such S.  S is N(N+1)/2 - T on the arc side and T on the
-     vertex side, with T = sum(coef[v] * vl[v]), coef[v] = 1 - in(v) +
-     out(v) on the arc side and 1 on the vertex side.  The S of the
-     progressions with the given a and d whose terms lie in the widest
-     range the side can reach are tabled once, as values of T.  A vertex
-     label is placed only if the prefix's partial T plus the least to the
-     greatest T of the vertices still to place meets a tabled T.  That
-     window is the rearrangement bound for distinct labels: the least
-     gives the lowest labels to the largest positive coefficients and the
-     highest to the most negative ones, and the greatest mirrors it.
-     Where the window is one value, as when only vertices of coefficient 0
-     are left, the cut is exact;
+     k * a + d * k(k-1)/2 = S, with the given a and d, inside the range
+     the weights can reach.  The widest such range is tabled once: an arc
+     weighs a label in a_lo..a_hi plus a base in v_lo - v_hi..v_hi - v_lo,
+     and a vertex a label in v_lo..v_hi plus its reach window.  Every
+     progression with the given a and d whose k terms lie in it is listed
+     once, under its S, by rising d.  Once the vertices are placed the
+     range narrows to the bases and labels placed, and the candidates are
+     the listed ones of the fixed S inside it.  Each weight of an
+     arithmetic target drops, once it is fixed, the candidates it is not
+     a term of, and a branch with none left is cut.  The vertex phase
+     already cuts a prefix that can reach no listed S.  S is N(N+1)/2 - T
+     on the arc side and T on the vertex side, with
+     T = sum(coef[v] * vl[v]), coef[v] = 1 - in(v) + out(v) on the arc
+     side and 1 on the vertex side, and a vertex label is placed only if
+     the prefix's partial T plus the window of the vertices still to place
+     over v_lo..v_hi meets the T of a listed S.  Where that window is one
+     value, as when only vertices of coefficient 0 are left, the cut is
+     exact;
   3. seen and term masks: on either side a weight is checked as soon as it
      is fixed.  A distinctness target cuts it if it equals a weight fixed
      before it, and a magic or arithmetic target if it is a term of no
      candidate left.  Both are bitmask tests, with bit w + off for weight w,
      off making every weight the side can reach a non-negative bit: N on
      the arc side, as no arc weighs less than 2 - N, and on the vertex side
-     minus the least weight that any vertex can reach.  A seen-weight mask
-     holds the weights fixed so far, and each candidate a term mask of its
-     k terms, the one bit mu for a magic target.  A weight that passes keeps
-     the term masks that hold it; an antimagic target has no term mask, and
+     minus the least weight of the widest range of rule 2.  A seen-weight
+     mask holds the weights fixed so far, and each candidate a term mask of
+     its k terms, the one bit mu for a magic target.  A weight that passes
+     keeps the term masks that hold it; an antimagic target has no term mask, and
      only the seen weights count.  An arc-side slot keeps a free-label mask
      of the unused arc labels too.  Label l of an arc with base b weighs
      l + b, so the slot offers the bits of the free-label mask under the OR
@@ -102,8 +110,8 @@ Two enumerators produce the same results:
      left.  A vertex-side slot closes a vertex weight only at the vertex's
      last arc.  All candidates are centred on S / k, so the one with the
      largest d spans the others, and the slot offers only the labels that
-     leave both endpoints able to reach that span with their open arcs,
-     then checks each weight it closes against the masks.  For a
+     leave both endpoints able to reach that span within their reach
+     windows, then checks each weight it closes against the masks.  For a
      vertex-magic target the span is mu..mu, so the last open arc of a
      vertex has a forced label, and the weight it closes is mu, checked by
      the span alone.
@@ -151,14 +159,13 @@ Two enumerators produce the same results:
      label at most N+1 - vl[0], and a leaf counts 2 if F < N+1 and 1 if
      F = N+1.
 
-  How far each endpoint's weight can still move, and which vertex weights
-  an arc settles, depend only on the arc order, so they are tabled once
-  per kernel.  The vertex phase and the arc-side loops count a node only
-  for a placement that passes their rules, and the last arc of an
-  arc-side count-all search, which has one free label, is counted without
-  a call; the vertex-side arc loop counts every placement of an unused
-  label in the slot's narrowed range and checks the settled weights after
-  it;
+  The reach windows, and which vertex weights an arc settles, depend only
+  on the arc order, so they are tabled once per kernel.  The vertex phase
+  and the arc-side loops count a node only for a placement that passes
+  their rules, and the last arc of an arc-side count-all search, which has
+  one free label, is counted without a call; the vertex-side arc loop
+  counts every placement of an unused label in the slot's narrowed range
+  and checks the settled weights after it;
 * the reference enumerator (`_reference`) is the oracle: it walks every
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
@@ -337,14 +344,10 @@ def _terms(k: int, a: int, d: int, off: int) -> int:
 
 
 def _window(coef: list, lo: int, hi: int) -> tuple:
-    """The least and the greatest sum(c * label) over coef, with distinct
-    labels in lo..hi; (0, 0) for no coefficient.
-
-    The least, by the rearrangement bound, gives the lowest labels to the
-    positive coefficients, largest first, and the highest labels to the
-    negative ones, most negative last.  x -> lo + hi - x maps labels in
-    lo..hi to labels in lo..hi and the least sum to the greatest.
-    """
+    """The window of coef: the least and the greatest sum(c * label) with
+    distinct labels in lo..hi, by the rearrangement bound of the module
+    docstring; (0, 0) for no coefficient.  x -> lo + hi - x maps labels in
+    lo..hi to labels in lo..hi and the least sum to the greatest."""
     cs = sorted(coef, reverse=True)
     m = len(cs)
     least = sum([c * (lo + i if c > 0 else hi - m + 1 + i) for i, c in enumerate(cs)])
@@ -360,7 +363,7 @@ class _Kernel:
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
-                 "rest", "sums", "off", "windows", "forms", "comps", "fq", "parts", "cycles",
+                 "rest", "sums", "off", "progs", "forms", "comps", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
                  "mus", "bases", "vmask", "w_off", "pw")
 
@@ -406,8 +409,8 @@ class _Kernel:
         # the weights of the target side sum to S = total - T on the arc
         # side and S = T on the vertex side, T = sum(coef[v] * vl[v]);
         # rest[s] is the _window of T over the vertices s.. (rule 2), and
-        # sums has bit T - off set for each T from off up whose S some
-        # progression of rule 2 takes, else it is None
+        # _sum_table tables rule 2's progressions and the T they take for
+        # an arithmetic target; sums is None for any other
         arc = t.side == "arc"
         self.coef = [1 - in_deg[v] + out_deg[v] if arc else 1 for v in range(self.V)]
         self.sums = None
@@ -433,86 +436,76 @@ class _Kernel:
         # label mu - b in 1..N needs mu in 2 - N..2N - 1, inside the 3N bits
         # set at first; a vertex-magic mu lies in its tables' seed.
         self.mu_seed = (1 << 3 * self.N) - 1
+        if not arc:
+            # vertex-side tables, fixed by the arc order; no arc-side rule
+            # reads them.  window(v) is the reach window of v over its arcs
+            # still open: v_reach[v] before the first arc, and reach[k] those
+            # of the tail, then the head of arc k after it, 0, 0 once k is
+            # its last arc.  w_off is minus the least weight any vertex can
+            # reach: bit w + w_off of rule 3's masks stands for vertex weight
+            # w.  closes[k] lists the endpoints (tail first) whose last arc
+            # is k, whose weights rule 3's masks check; a magic weight closed
+            # inside rule 3's span is mu, so magic targets check none.
+            rin, rout = in_deg[:], out_deg[:]
+
+            def window(v):
+                return _window([1] * rin[v] + [-1] * rout[v], a_lo, a_hi)
+
+            self.v_reach = [window(v) for v in range(self.V)]
+            self.w_off = -v_lo - min([lo for lo, _ in self.v_reach], default=0)
+            self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
+            self.closes, self.reach = [], []
+            for tail, head in g.arcs:
+                rout[tail] -= 1
+                rin[head] -= 1
+                self.closes.append(() if t.kind == "magic" else
+                                   tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
+                self.reach.append(window(tail) + window(head))
         if self.vertex_magic and self.V:
-            self._vertex_magic_tables(g, in_deg, out_deg)
-        # vertex-side arc-phase tables, fixed by the arc order.  reach[k] is
-        # lo, hi of the tail, then of the head of arc k: the arcs of that
-        # endpoint after k change its weight by lo..hi, as each adds 1..N
-        # (in-arc) or takes 1..N away (out-arc), and 0, 0 once k is its last
-        # arc.  v_reach[v] is the window of v over the whole arc phase, and
-        # w_off minus the least weight it lets any vertex reach: bit w + w_off
-        # of rule 3's masks stands for vertex weight w.  closes[k] lists the
-        # endpoints (tail first) whose last arc is k, whose weights rule 3's
-        # masks check; a magic weight closed inside rule 3's span is mu, so
-        # magic targets check none.
-        n = self.N
-        rin, rout = in_deg[:], out_deg[:]
-
-        def window(v):
-            return rin[v] - rout[v] * n, rin[v] * n - rout[v]
-
-        self.v_reach = [window(v) for v in range(self.V)]
-        self.w_off = -v_lo - min([lo for lo, _ in self.v_reach], default=0)
-        self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
-        self.closes, self.reach = [], []
-        for tail, head in g.arcs:
-            rout[tail] -= 1
-            rin[head] -= 1
-            self.closes.append(() if t.kind == "magic" else
-                               tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
-            self.reach.append(window(tail) + window(head))
+            self._vertex_magic_tables(g)
         if t.kind == "arithmetic":
             self._sum_table()
 
     def _sum_table(self):
-        """Rule 2 in the vertex phase: sums and off of an arithmetic target.
+        """Rule 2's table of an arithmetic target: progs, sums and off.
 
-        A weight lies in lo..hi, the widest range the side can reach: an arc
-        weighs a label in a_lo..a_hi plus a base vl[head] - vl[tail], and a
-        vertex its label plus its v_reach window.  For each d, the first
-        terms a that keep the k terms in lo..hi, and equal the pinned a,
-        form a run, whose sums k * a + d * k(k-1)/2 step by k.  off is the
-        least T for labels in v_lo..v_hi, each vertex taken alone, so it is
-        at most the partial sum of a vertex prefix plus the least of rest
-        after it; the sums whose T lies below are dropped.  Those above the
-        greatest T are kept, as no window reaches them.
+        lo..hi is the widest range of rule 2, and progs maps each weight sum
+        S to the progressions (a, d, top) with the pinned a and d whose k
+        terms lie in lo..hi, by rising d; _boundary keeps those inside the
+        range its vertex labels allow.  off is the least T for labels in
+        v_lo..v_hi, each vertex taken alone, so it is at most the partial
+        sum of a vertex prefix plus the least of rest after it; sums has bit
+        T - off set for each T from off up whose S is a key of progs.  Those
+        above the greatest T are kept, as no window reaches them.
         """
         t, v_lo, v_hi = self.target, self.v_lo, self.v_hi
         arc = t.side == "arc"
         self.off = off = sum([min(c * v_lo, c * v_hi) for c in self.coef])
         k = self.A if arc else self.V
-        self.sums = sums = 0  # a side of fewer than two weights is magic
-        if k < 2:
-            return
-        if arc:
-            lo, hi = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo
-        else:
-            lo = -self.w_off
-            hi = v_hi + max([r for _, r in self.v_reach])
-        half = k * (k - 1) // 2
-        for d in (t.d,) if t.d else range(1, (hi - lo) // (k - 1) + 1):
-            a0, a1 = lo, hi - (k - 1) * d
-            if t.a is not None:
-                a0, a1 = max(a0, t.a), min(a1, t.a)
-            if a0 > a1:
-                continue
-            # run has one bit per a, k apart; as a rises, T rises on the
-            # vertex side and falls on the arc side
-            run = ((1 << k * (a1 - a0 + 1)) - 1) // ((1 << k) - 1)
-            low = (self.total - k * a1 - d * half if arc else k * a0 + d * half) - off
-            sums |= run << low if low >= 0 else run >> -low
-        self.sums = sums
+        self.progs = progs = {}
+        if k >= 2:  # a side of fewer than two weights is magic
+            if arc:
+                lo, hi = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo
+            else:
+                lo, hi = -self.w_off, v_hi + max([r for _, r in self.v_reach])
+            half = k * (k - 1) // 2
+            for d in (t.d,) if t.d else range(1, (hi - lo) // (k - 1) + 1):
+                a0, a1 = lo, hi - (k - 1) * d
+                if t.a is not None:
+                    a0, a1 = max(a0, t.a), min(a1, t.a)
+                for a in range(a0, a1 + 1):
+                    progs.setdefault(k * a + d * half, []).append((a, d, a + (k - 1) * d))
+        ts = [(self.total - s if arc else s) - off for s in progs]
+        self.sums = sum([1 << x for x in ts if x >= 0])  # distinct S, distinct bits
 
-    def _vertex_magic_tables(self, g: Digraph, in_deg: list, out_deg: list):
+    def _vertex_magic_tables(self, g: Digraph):
         """Rule 1 tables of a vertex-magic target, none past the mu seed if
         it is empty, as then the search visits no node.
 
-        windows[s] is off_lo, off_hi: the arcs of vertex s change its weight
-        by off_lo..off_hi, the _window of its in-arcs (+1) and out-arcs (-1)
-        over a_lo..a_hi; the V - 1 - s vertex labels after slot s sum to
-        rest[s + 1].  comps[s] holds the weakly connected component whose
-        last vertex is s, else (); the one that ends at V - 1 is left out,
-        as V * mu and the others' sums fix its sum.
+        The V - 1 - s vertex labels after slot s sum to rest[s + 1].
+        comps[s] holds the weakly connected component whose last vertex is
+        s, else (); the one that ends at V - 1 is left out, as V * mu and
+        the others' sums fix its sum.
 
         A spanning forest grown in arc order writes the label of tree arc e
         as sign * sum(mu - vl[v] for v in side) plus a signed sum of the
@@ -535,11 +528,10 @@ class _Kernel:
         else None.
         """
         V, n, arcs = self.V, self.N, g.arcs
-        self.windows = [_window([1] * in_deg[s] + [-1] * out_deg[s], self.a_lo, self.a_hi)
-                        for s in range(V)]
-        # seed: mu inside every vertex's window, and V * mu a sum of V labels
-        lo = max([-(-self.rest[0][0] // V)] + [self.v_lo + w[0] for w in self.windows])
-        hi = min([self.rest[0][1] // V] + [self.v_hi + w[1] for w in self.windows])
+        # seed: mu inside every vertex's label range plus its reach window
+        # v_reach[s], and V * mu a sum of V labels
+        lo = max([-(-self.rest[0][0] // V)] + [self.v_lo + w[0] for w in self.v_reach])
+        hi = min([self.rest[0][1] // V] + [self.v_hi + w[1] for w in self.v_reach])
         self.mu_seed = (2 << hi + n) - (1 << lo + n) if lo <= hi else 0
         if not self.mu_seed:
             return
@@ -760,7 +752,7 @@ class _Kernel:
         part with an arc written so far, and adds what becomes known at s."""
         vl, used, n, V = self.vl, self.used, self.N, self.V
         mus, vmask = self.mus, self.vmask
-        off_lo, off_hi = self.windows[s]
+        off_lo, off_hi = self.v_reach[s]
         rest_lo, rest_hi = self.rest[s + 1]
         placed = sum(vl[:s])
         mlo = (mus & -mus).bit_length() - 1 - n
@@ -930,7 +922,7 @@ class _Kernel:
             else:
                 lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach))
                 hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach))
-            cands = self._progressions(k, s, lo, hi)
+            cands = [c for c in self.progs.get(s, ()) if c[0] >= lo and c[2] <= hi]
             if not cands:
                 return
         if arc:
@@ -983,29 +975,6 @@ class _Kernel:
                 taken |= 1 << p * mu + fq[e] - c
             count += self._completions(parts[1:], mu, free & ~taken)
         return count
-
-    def _progressions(self, k: int, total: int, lo: int, hi: int) -> list:
-        """The progressions (a, d, top) of k terms a, a + d, .., top = a + (k-1)d
-        with sum total inside lo..hi, with the pinned a and d, by rising d.
-
-        k * a + d * k(k-1)/2 = total fixes a for each d.  All of them are
-        centred on total / k, so a larger d spans a wider range: the last
-        candidate spans all the others.
-        """
-        t = self.target
-        half = k * (k - 1) // 2
-        cands = []
-        d = t.d or 1
-        while True:
-            a, r = divmod(total - d * half, k)  # floor: a < lo iff the exact a is
-            top = a + (k - 1) * d
-            if a < lo or top > hi:
-                return cands
-            if not r and (t.a is None or a == t.a):
-                cands.append((a, d, top))
-            if t.d is not None:
-                return cands
-            d += 1
 
     # -- arc phase, arc-side targets ------------------------------------
 

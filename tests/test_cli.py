@@ -223,6 +223,17 @@ def test_export_json_round_trip(capsys, tmp_path):
     assert from_json(stdout) == from_json(path.read_text())
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_rejects_non_bijection_exits_2(capsys, tmp_path, fmt):
+    doc = {"format_version": 1, "vertex_count": 3, "arcs": [[0, 1], [1, 2]],
+           "vertex_labels": [1, 2, 3], "arc_labels": [6, 5]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export", str(path), "--format", fmt)
+    assert code == 2 and out == ""
+    assert "labels not a bijection onto 1..5" in err
+
+
 def test_export_malformed_exits_2(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -6,7 +6,9 @@ the arc-magic constant and the candidate progressions of an arithmetic
 target.  The vertex-weight identity does the same for the vertex side.  The
 dual's weights are the reflection that the kernel's dual cut rests on: it
 keeps the arc-side classes, and the vertex-side ones where every vertex has
-in-degree equal to out-degree.  The documents' to_json is pinned to
+in-degree equal to out-degree.  The search kernel's reach windows, how
+far the arcs still open can move a vertex weight, must hold every
+labeling, also one drawn to meet a strong flag.  The documents' to_json is pinned to
 json.dumps(indent=2) byte for byte, and the sort-free bijection and strong
 checks to their sorted definitions.  On a cactus every arc outside a
 spanning forest closes one cycle of its own, so a count-all vertex-magic
@@ -25,6 +27,7 @@ from sublabel import (CONSTRUCTION_KINDS, BijectionError, Digraph, LabelingDocum
                       SearchQuery, Target, TotalLabeling, build_family, classify,
                       construct, dual, from_json, search, validate_labeling,
                       weight_profile)
+from sublabel.search import _Kernel
 
 
 @st.composite
@@ -72,6 +75,47 @@ def test_arc_weights_sum_follows_from_the_vertex_labels(case):
     expected = n * (n + 1) // 2 - sum((1 - indeg[v] + outdeg[v]) * l.vertex_labels[v]
                                       for v in range(g.vertex_count))
     assert sum(weight_profile(g, l).arc_weights) == expected
+
+
+@st.composite
+def flagged(draw):
+    """A digraph with a random total labeling and the strong flag it is
+    drawn to meet: none, --strong (the vertices take 1..V) or --strong-star
+    (the arcs take 1..A)."""
+    g = draw(digraphs())
+    v, a, n = g.vertex_count, g.arc_count, g.label_count
+    flag = draw(st.sampled_from((None, "require_strong", "require_strong_star")))
+    if flag == "require_strong":
+        vl, al = draw(st.permutations(range(1, v + 1))), draw(st.permutations(range(v + 1, n + 1)))
+    elif flag == "require_strong_star":
+        vl, al = draw(st.permutations(range(a + 1, n + 1))), draw(st.permutations(range(1, a + 1)))
+    else:
+        labels = draw(st.permutations(range(1, n + 1)))
+        vl, al = labels[:v], labels[v:]
+    return g, TotalLabeling(tuple(vl), tuple(al)), {flag: True} if flag else {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(flagged())
+def test_vertex_weights_lie_in_the_kernel_reach_windows(case):
+    # the search bounds what the arcs of a vertex still to be labelled add
+    # to its weight; every labeling that meets the flags lies inside
+    g, l, flags = case
+    kernel = _Kernel(SearchQuery(g, Target("vertex", "antimagic"), mode="first-witness", **flags))
+    arcs = list(enumerate(g.arcs))
+
+    def moved(v, rest):
+        return sum(l.arc_labels[k] * ((h == v) - (t == v)) for k, (t, h) in rest)
+
+    for v in range(g.vertex_count):
+        lo, hi = kernel.v_reach[v]
+        assert lo <= moved(v, arcs) <= hi
+    for k, (tail, head) in arcs:
+        t_lo, t_hi, h_lo, h_hi = kernel.reach[k]
+        assert t_lo <= moved(tail, arcs[k + 1:]) <= t_hi
+        assert h_lo <= moved(head, arcs[k + 1:]) <= h_hi
+    # bit w + w_off of the seen and term masks stands for vertex weight w
+    assert all(w + kernel.w_off >= 0 for w in weight_profile(g, l).vertex_weights)
 
 
 @settings(max_examples=200, deadline=None)

@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,10 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, 
         (one.solutions_found, one.nodes_visited, True)
     if reference.exhaustive:
         assert split.solutions_found == reference.solutions_found
+    elif forked:
+        # an explicit example below its witness bound: the oracle's own
+        # count-all search checks the count
+        assert split.solutions_found == search(count_all, pruned=False).solutions_found
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,10 +242,11 @@ def test_arc_magic_witnesses_obey_mu_bounds(graph):
         assert bounds.contains(classify(graph, w).arc_verdict.mu)
 
 
-def pin(name, graph, target, nodes, solutions, mode="count-all"):
+def pin(name, graph, target, nodes, solutions, mode="count-all", **flags):
     """A pinned row; its id names the instance and leaves the counts out,
-    so a re-pin keeps the test's name."""
-    return pytest.param(SearchQuery(graph, target, mode=mode), nodes, solutions, id=name)
+    so a re-pin keeps the test's name.  flags are the strong flags."""
+    return pytest.param(SearchQuery(graph, target, mode=mode, **flags), nodes, solutions,
+                        id=name)
 
 
 SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
@@ -261,7 +267,7 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     pin("path-6-forward-sa-al-a8-d1", build_family("path", 6, orientation="forward"),
         Target("arc", "arithmetic", 8, 1), 4665, 690),
     pin("tadpole-3-2-sv-al-a6-d1", build_family("tadpole", 3, t=2),
-        Target("vertex", "arithmetic", 6, 1), 6345, 266),
+        Target("vertex", "arithmetic", 6, 1), 6169, 266),
     pin("friendship-2-sa-al-a6-d1", build_family("friendship", 2),
         Target("arc", "arithmetic", 6, 1), 5440, 1384),
     pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 926, 13),
@@ -284,8 +290,8 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     pin("tadpole-3-3-svml-first-witness", build_family("tadpole", 3, t=3), SVML, 388, 1,
         mode="first-witness"),
     # wheel(3) reaches a part with two free arcs; wheel(4)'s mu seed is empty
-    pin("wheel-3-svml", build_family("wheel", 3), SVML, 19, 0),
-    pin("wheel-3-svml-first-witness", build_family("wheel", 3), SVML, 47, 0,
+    pin("wheel-3-svml", build_family("wheel", 3), SVML, 17, 0),
+    pin("wheel-3-svml-first-witness", build_family("wheel", 3), SVML, 41, 0,
         mode="first-witness"),
     # the sum of the first component fixes mu at its last vertex; without
     # that cut the count-all search visits 147 nodes and counts 10
@@ -297,7 +303,12 @@ SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
     pin("star-4-in-sval", build_family("star", 4, orientation="in"),
         Target("vertex", "antimagic"), 35907, 203616),
     pin("wheel-4-sv-al-first-witness", build_family("wheel", 4), Target("vertex", "arithmetic"),
-        448390, 1, mode="first-witness"),
+        370940, 1, mode="first-witness"),
+    # each vertex's open arcs take distinct labels in the arc window, which
+    # --strong narrows to V + 1..N: with every arc at 1..N, repeats allowed,
+    # the search visits 16,309 nodes
+    pin("wheel-4-sv-al-strong-first-witness", build_family("wheel", 4),
+        Target("vertex", "arithmetic"), 325, 0, mode="first-witness", require_strong=True),
 ])
 def test_pinned_node_counts(query, nodes, solutions):
     # wheel(4) has 13 labels, over the default cap
@@ -320,6 +331,59 @@ def test_unpinned_progressions_are_all_found():
     assert every_witness(graph, target) == (9620, "a0bde215a07766cf")
     # count-all counts one labeling per rotation and multiplies by 5
     assert search(SearchQuery(graph, target)).solutions_found == 9620
+
+
+def widest_range(q):
+    """The least and the greatest weight the target side can reach, by brute
+    force over the labels of each arc or vertex alone."""
+    graph = q.graph
+    v, a, n = graph.vertex_count, graph.arc_count, graph.label_count
+    v_labels = range(a + 1 if q.require_strong_star else 1, (v if q.require_strong else n) + 1)
+    a_labels = range(v + 1 if q.require_strong else 1, (a if q.require_strong_star else n) + 1)
+    if q.target.side == "arc":
+        bases = [h - t for t in v_labels for h in v_labels if h != t]
+        return min(a_labels) + min(bases), max(a_labels) + max(bases)
+    moves = []
+    for u in range(v):
+        ins = [k for k, (_, h) in enumerate(graph.arcs) if h == u]
+        outs = [k for k, (t, _) in enumerate(graph.arcs) if t == u]
+        moves += [sum(p[:len(ins)]) - sum(p[len(ins):])
+                  for p in permutations(a_labels, len(ins) + len(outs))]
+    return min(v_labels) + min(moves), max(v_labels) + max(moves)
+
+
+@pytest.mark.parametrize("graph,target,flags", [
+    (build_family("cycle", 4), Target("arc", "arithmetic"), {}),
+    (build_family("cycle", 4), Target("arc", "arithmetic", a=3), {}),
+    (build_family("star", 3, orientation="in"), Target("arc", "arithmetic", d=2),
+     {"require_strong": True}),
+    (build_family("star", 3, orientation="in"), Target("vertex", "arithmetic"), {}),
+    (build_family("tadpole", 3, t=2), Target("vertex", "arithmetic", a=6, d=1), {}),
+    (build_family("path", 4), Target("vertex", "arithmetic", a=1),
+     {"require_strong_star": True}),
+    (Digraph(4, ((0, 1), (0, 2))), Target("vertex", "arithmetic", d=3), {"require_strong": True}),
+    # a side of fewer than two weights takes no progression
+    (Digraph(2, ((0, 1),)), Target("arc", "arithmetic"), {}),
+    (Digraph(1, ()), Target("vertex", "arithmetic"), {}),
+], ids=["cycle-4-sa-al", "cycle-4-sa-al-a3", "star-3-in-sa-al-d2-strong", "star-3-in-sv-al",
+        "tadpole-3-2-sv-al-a6-d1", "path-4-sv-al-a1-strong-star", "out-star-sv-al-d3-strong",
+        "one-arc-sa-al", "one-vertex-sv-al"])
+def test_progression_table_lists_every_progression_in_the_widest_range(graph, target, flags):
+    # progs maps each weight sum to its k-term progressions (a, d, top),
+    # with the pinned a and d, inside the widest range, by rising d
+    q = SearchQuery(graph, target, **flags)
+    k = graph.arc_count if target.side == "arc" else graph.vertex_count
+    expected = {}
+    if k >= 2:
+        lo, hi = widest_range(q)
+        for d in range(1, hi - lo + 1):
+            for a in range(lo, hi - (k - 1) * d + 1):
+                if target.a in (None, a) and target.d in (None, d):
+                    expected.setdefault(k * a + d * k * (k - 1) // 2, []).append(
+                        (a, d, a + (k - 1) * d))
+    assert _Kernel(q).progs == expected
+    # no case of two or more weights passes on an empty table
+    assert bool(expected) == (k >= 2)
 
 
 def test_vertex_magic_witnesses_are_all_found():
