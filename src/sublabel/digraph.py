@@ -1,8 +1,10 @@
 """Digraph model and generators for the supported graph families.
 
 Vertices are 0-based indices; arcs are ordered (tail, head) pairs.  Each
-generated family keeps a FamilyTag with the conventional 1-based names
-(v_1, u_3, a_2, ...) so reports can print them next to raw indices.
+generated family keeps a FamilyTag with its name and parameters.  The tag
+derives the conventional names (v_1, u_3, a_2, ...) from n and t on first
+use, so reports can print them next to raw indices and a build that never
+prints them never makes them.
 
 Family conventions (all arc lists are stored in the order given here):
 
@@ -25,6 +27,7 @@ Family conventions (all arc lists are stored in the order given here):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ParameterError(ValueError):
@@ -47,15 +50,36 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FamilyTag:
-    """Provenance of a generated digraph: family name, parameters, and the
-    index -> conventional-name maps for vertices and arcs."""
+    """Provenance of a generated digraph: family name and parameters.
+
+    vertex_names and arc_names map indices to the conventional names.
+    Both are derived from n and t on the first read of either, and kept;
+    a tag that build_family would refuse has none.  Equality, hashing and
+    repr see the four fields only.
+    """
 
     name: str
     n: int
     t: int | None = None
     orientation: str | None = None
-    vertex_names: tuple[str, ...] = ()
-    arc_names: tuple[str, ...] = ()
+
+    @property
+    def vertex_names(self) -> tuple[str, ...]:
+        return self._names[0]
+
+    @property
+    def arc_names(self) -> tuple[str, ...]:
+        return self._names[1]
+
+    @cached_property
+    def _names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(vertex names, arc names), made once for both."""
+        try:
+            row, _ = _checked(self.name, self.n, self.t, self.orientation)
+        except ParameterError:
+            return (), ()
+        _, names, *_ = row
+        return names(self.n, self.t)
 
     def to_dict(self) -> dict:
         """The JSON family block: name and n, then t and orientation when set."""
@@ -71,7 +95,9 @@ class FamilyTag:
 class Digraph:
     """A simple directed graph: no self-loops, no repeated arcs.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  The
+    family tag derives its names on first read, and concurrent first reads
+    build equal tuples, so whichever is kept, every reader sees the same.
     """
 
     vertex_count: int
@@ -127,13 +153,19 @@ class Digraph:
         return deg
 
     def vertex_name(self, i: int) -> str:
-        if self.family and i < len(self.family.vertex_names):
-            return self.family.vertex_names[i]
-        return f"v{i}"
+        """The conventional name of vertex i, or v{i} without one."""
+        if not 0 <= i < self.vertex_count:
+            raise IndexError(f"vertex index {i} out of range for {self.vertex_count} vertices")
+        names = self.family.vertex_names if self.family else ()
+        return names[i] if i < len(names) else f"v{i}"
 
     def arc_name(self, i: int) -> str:
-        if self.family and i < len(self.family.arc_names):
-            return self.family.arc_names[i]
+        """The conventional name of arc i, or (tail->head) without one."""
+        if not 0 <= i < len(self.arcs):
+            raise IndexError(f"arc index {i} out of range for {len(self.arcs)} arcs")
+        names = self.family.arc_names if self.family else ()
+        if i < len(names):
+            return names[i]
         t, h = self.arcs[i]
         return f"({t}->{h})"
 
@@ -194,8 +226,14 @@ def _require(cond: bool, message: str):
         raise ParameterError(message)
 
 
-# Each generator returns the vertex names, the arcs and the arc names of
-# one family member; build_family has checked n, t and the orientation.
+# Each generator returns the vertex count and the arcs of one family member,
+# and each names function its vertex names and arc names, which depend on n
+# and t only; _checked has passed n, t and the orientation before either runs.
+
+def _numbered(prefix: str, first: int, last: int) -> tuple[str, ...]:
+    """prefix_first, .., prefix_last."""
+    return tuple(f"{prefix}_{i}" for i in range(first, last + 1))
+
 
 def _path(n: int, t: None, orientation: str):
     arcs = []
@@ -204,14 +242,20 @@ def _path(n: int, t: None, orientation: str):
             arcs.append((i, i - 1))
         else:
             arcs.append((i - 1, i))
-    return (tuple(f"v_{i}" for i in range(1, n + 1)), arcs,
-            tuple(f"a_{i}" for i in range(1, n)))
+    return n, arcs
+
+
+def _path_names(n: int, t: None):
+    return _numbered("v", 1, n), _numbered("a", 1, n - 1)
 
 
 def _cycle(n: int, t: None, orientation: None):
     arcs = [(i - 1, i) for i in range(1, n)] + [(n - 1, 0)]
-    return (tuple(f"v_{i}" for i in range(1, n + 1)), arcs,
-            tuple(f"a_{i}" for i in range(1, n + 1)))
+    return n, arcs
+
+
+def _cycle_names(n: int, t: None):
+    return _numbered("v", 1, n), _numbered("a", 1, n)
 
 
 def _star(n: int, t: None, orientation: str):
@@ -219,16 +263,21 @@ def _star(n: int, t: None, orientation: str):
         arcs = [(0, i) for i in range(1, n + 1)]
     else:
         arcs = [(i, 0) for i in range(1, n + 1)]
-    return (tuple(f"v_{i}" for i in range(n + 1)), arcs,
-            tuple(f"a_{i}" for i in range(1, n + 1)))
+    return n + 1, arcs
+
+
+def _star_names(n: int, t: None):
+    return _numbered("v", 0, n), _numbered("a", 1, n)
 
 
 def _wheel(n: int, t: None, orientation: None):
     spokes = [(i, 0) for i in range(1, n + 1)]
     rim = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    return (tuple(f"v_{i}" for i in range(n + 1)), spokes + rim,
-            tuple(f"a_{i}" for i in range(1, n + 1))
-            + tuple(f"b_{i}" for i in range(1, n + 1)))
+    return n + 1, spokes + rim
+
+
+def _wheel_names(n: int, t: None):
+    return _numbered("v", 0, n), _numbered("a", 1, n) + _numbered("b", 1, n)
 
 
 def _tadpole(n: int, t: int, orientation: None):
@@ -236,23 +285,26 @@ def _tadpole(n: int, t: int, orientation: None):
     arcs = [(i - 1, i) for i in range(1, n)] + [(n - 1, 0)]
     arcs += [(n + i - 1, n + i) for i in range(1, t)]
     arcs += [(n + t - 1, 0)]
-    return (tuple(f"v_{i}" for i in range(1, n + 1))
-            + tuple(f"u_{i}" for i in range(1, t + 1)), arcs,
-            tuple(f"a_{i}" for i in range(1, n + 1))
-            + tuple(f"b_{i}" for i in range(1, t)) + ("c",))
+    return n + t, arcs
+
+
+def _tadpole_names(n: int, t: int):
+    return (_numbered("v", 1, n) + _numbered("u", 1, t),
+            _numbered("a", 1, n) + _numbered("b", 1, t - 1) + ("c",))
 
 
 def _friendship(n: int, t: None, orientation: None):
     # x is vertex 0; triangle i uses vertices 2i-1 (v_i1) and 2i (v_i2)
     arcs = []
-    vnames = ["x"]
-    anames = []
     for i in range(1, n + 1):
         a, b = 2 * i - 1, 2 * i
         arcs += [(0, a), (a, b), (b, 0)]
-        vnames += [f"v_{i}1", f"v_{i}2"]
-        anames += [f"a_{i}0", f"a_{i}1", f"a_{i}2"]
-    return tuple(vnames), arcs, tuple(anames)
+    return 2 * n + 1, arcs
+
+
+def _friendship_names(n: int, t: None):
+    return (("x",) + tuple(f"v_{i}{j}" for i in range(1, n + 1) for j in (1, 2)),
+            tuple(f"a_{i}{j}" for i in range(1, n + 1) for j in (0, 1, 2)))
 
 
 def _butterfly(n: int, t: None, orientation: None):
@@ -260,38 +312,36 @@ def _butterfly(n: int, t: None, orientation: None):
     x = 2 * n - 2
     a = [(i - 1, i) for i in range(1, n - 1)] + [(n - 2, x), (x, 0)]
     b = [(n - 2 + i, n - 1 + i) for i in range(1, n - 1)] + [(2 * n - 3, x), (x, n - 1)]
-    return (tuple(f"v_{i}" for i in range(1, n))
-            + tuple(f"u_{i}" for i in range(1, n)) + ("x",), a + b,
-            tuple(f"a_{i}" for i in range(1, n + 1))
-            + tuple(f"b_{i}" for i in range(1, n + 1)))
+    return 2 * n - 1, a + b
 
 
-# family -> (generator, least n, whether it takes t, its orientations with
-# the default first; none for a family with a single orientation)
+def _butterfly_names(n: int, t: None):
+    return (_numbered("v", 1, n - 1) + _numbered("u", 1, n - 1) + ("x",),
+            _numbered("a", 1, n) + _numbered("b", 1, n))
+
+
+# family -> (generator, names function, least n, whether it takes t, its
+# orientations with the default first; none for a family with a single
+# orientation)
 _FAMILY_TABLE = {
-    "path": (_path, 2, False, ("forward", "alternating")),
-    "cycle": (_cycle, 3, False, ()),
-    "star": (_star, 1, False, ("out", "in")),
-    "wheel": (_wheel, 3, False, ()),
-    "tadpole": (_tadpole, 3, True, ()),
-    "friendship": (_friendship, 1, False, ()),
-    "butterfly": (_butterfly, 3, False, ()),
+    "path": (_path, _path_names, 2, False, ("forward", "alternating")),
+    "cycle": (_cycle, _cycle_names, 3, False, ()),
+    "star": (_star, _star_names, 1, False, ("out", "in")),
+    "wheel": (_wheel, _wheel_names, 3, False, ()),
+    "tadpole": (_tadpole, _tadpole_names, 3, True, ()),
+    "friendship": (_friendship, _friendship_names, 1, False, ()),
+    "butterfly": (_butterfly, _butterfly_names, 3, False, ()),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def build_family(family: str, n: int, t: int | None = None,
-                 orientation: str | None = None) -> Digraph:
-    """Build one of the supported families with its canonical arc order.
-
-    `t` is required for (and only for) tadpoles.  `orientation` selects the
-    variant for paths (forward/alternating) and stars (out/in); the other
-    families have a single canonical orientation and reject the argument.
-    `n` and `t` must be ints; a bool is refused.
-    """
+def _checked(family: str, n: int, t: int | None, orientation: str | None):
+    """The _FAMILY_TABLE row of `family` and the orientation to build, once
+    n, t and the orientation are checked; ParameterError otherwise."""
     _require(family in FAMILIES, f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    generate, least_n, takes_t, orientations = _FAMILY_TABLE[family]
+    row = _FAMILY_TABLE[family]
+    _, _, least_n, takes_t, orientations = row
     if takes_t:
         _require(t is not None, f"{family} requires the path length t")
     else:
@@ -309,6 +359,18 @@ def build_family(family: str, n: int, t: int | None = None,
     _require(not orientations or orientation in orientations,
              f"{family} orientation must be {' or '.join(map(repr, orientations))}, "
              f"got {orientation!r}")
-    vertex_names, arcs, arc_names = generate(n, t, orientation)
-    tag = FamilyTag(family, n, t, orientation, vertex_names, arc_names)
-    return Digraph(len(vertex_names), arcs, tag)
+    return row, orientation
+
+
+def build_family(family: str, n: int, t: int | None = None,
+                 orientation: str | None = None) -> Digraph:
+    """Build one of the supported families with its canonical arc order.
+
+    `t` is required for (and only for) tadpoles.  `orientation` selects the
+    variant for paths (forward/alternating) and stars (out/in); the other
+    families have a single canonical orientation and reject the argument.
+    `n` and `t` must be ints; a bool is refused.
+    """
+    (generate, *_), orientation = _checked(family, n, t, orientation)
+    vertex_count, arcs = generate(n, t, orientation)
+    return Digraph(vertex_count, arcs, FamilyTag(family, n, t, orientation))

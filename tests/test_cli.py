@@ -58,6 +58,21 @@ def test_verify_reports_magic_constant(capsys, tmp_path):
     assert "magic (mu=6)" in stdout
 
 
+@pytest.mark.parametrize("argv,names", [
+    (["--family", "tadpole", "--n", "3", "--t", "2", "--labeling", "saal"],
+     ["v_1", "v_2", "v_3", "u_1", "u_2", "a_1", "a_2", "a_3", "b_1", "c"]),
+    (["--family", "friendship", "--n", "2", "--labeling", "sa-al"],
+     ["x", "v_11", "v_12", "v_21", "v_22", "a_10", "a_11", "a_12", "a_20", "a_21", "a_22"]),
+], ids=["tadpole", "friendship"])
+def test_verify_prints_conventional_names(capsys, tmp_path, argv, names):
+    out = tmp_path / "doc.json"
+    run(capsys, "construct", *argv, "--out", str(out))
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    weights = stdout.split("{")[0]
+    assert all(f" {name}=" in weights for name in names)
+
+
 def test_construct_corrected_path_labels_carry_a_note(capsys):
     code, stdout, _ = run(capsys, "construct", "--family", "path", "--n", "4",
                           "--labeling", "sa-al")

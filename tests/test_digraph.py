@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublabel import Digraph, ParameterError, build_family
+from sublabel import Digraph, FamilyTag, ParameterError, build_family
 from sublabel.digraph import NotIntegerError
 
 ARC_COUNTS = {
@@ -234,3 +234,59 @@ def test_automorphism_group_order_matches_brute_force(graph):
     brute = sum(1 for p in permutations(range(graph.vertex_count))
                 if {(p[t], p[h]) for t, h in arcs} == arcs)
     assert group_order(graph) == brute
+
+
+# the conventional names of each family and orientation at a small n
+CONVENTIONAL_NAMES = [
+    ("path", 3, None, "forward", ("v_1", "v_2", "v_3"), ("a_1", "a_2")),
+    ("path", 3, None, "alternating", ("v_1", "v_2", "v_3"), ("a_1", "a_2")),
+    ("cycle", 3, None, None, ("v_1", "v_2", "v_3"), ("a_1", "a_2", "a_3")),
+    ("star", 2, None, "out", ("v_0", "v_1", "v_2"), ("a_1", "a_2")),
+    ("star", 2, None, "in", ("v_0", "v_1", "v_2"), ("a_1", "a_2")),
+    ("wheel", 3, None, None, ("v_0", "v_1", "v_2", "v_3"),
+     ("a_1", "a_2", "a_3", "b_1", "b_2", "b_3")),
+    ("tadpole", 3, 1, None, ("v_1", "v_2", "v_3", "u_1"), ("a_1", "a_2", "a_3", "c")),
+    ("tadpole", 3, 3, None, ("v_1", "v_2", "v_3", "u_1", "u_2", "u_3"),
+     ("a_1", "a_2", "a_3", "b_1", "b_2", "c")),
+    ("friendship", 2, None, None, ("x", "v_11", "v_12", "v_21", "v_22"),
+     ("a_10", "a_11", "a_12", "a_20", "a_21", "a_22")),
+    ("butterfly", 3, None, None, ("v_1", "v_2", "u_1", "u_2", "x"),
+     ("a_1", "a_2", "a_3", "b_1", "b_2", "b_3")),
+]
+
+
+@pytest.mark.parametrize("family,n,t,orientation,vertex_names,arc_names", CONVENTIONAL_NAMES)
+def test_conventional_names(family, n, t, orientation, vertex_names, arc_names):
+    g = build_family(family, n, t=t, orientation=orientation)
+    assert g.family.vertex_names == vertex_names
+    assert g.family.arc_names == arc_names
+    assert tuple(map(g.vertex_name, range(g.vertex_count))) == vertex_names
+    assert tuple(map(g.arc_name, range(g.arc_count))) == arc_names
+
+
+@pytest.mark.parametrize("family", ["mystery", "tadpole"])
+def test_tags_without_names_fall_back_to_indices(family):
+    # an unknown family, and a known one with parameters build_family
+    # refuses (a tadpole needs t), have no conventional names
+    tag = FamilyTag(family, 3)
+    assert tag.vertex_names == tag.arc_names == ()
+    for g in (Digraph(3, ((0, 1), (2, 1))), Digraph(3, ((0, 1), (2, 1)), tag)):
+        assert [g.vertex_name(i) for i in range(3)] == ["v0", "v1", "v2"]
+        assert [g.arc_name(i) for i in range(2)] == ["(0->1)", "(2->1)"]
+
+
+@pytest.mark.parametrize("graph", [build_family("path", 3), Digraph(3, ((0, 1), (2, 1)))],
+                         ids=["family", "plain"])
+@pytest.mark.parametrize("index", [-1, -3, 3])
+def test_vertex_name_rejects_out_of_range_index(graph, index):
+    with pytest.raises(IndexError, match=f"vertex index {index} out of range for 3 vertices"):
+        graph.vertex_name(index)
+
+
+@pytest.mark.parametrize("graph", [build_family("path", 3), Digraph(3, ((0, 1), (2, 1)))],
+                         ids=["family", "plain"])
+@pytest.mark.parametrize("index", [-1, -2, 2])
+def test_arc_name_rejects_out_of_range_index(graph, index):
+    with pytest.raises(IndexError, match=f"arc index {index} out of range for 2 arcs"):
+        graph.arc_name(index)
+

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from sublabel import (Digraph, DocumentError, LabelingDocument, ParameterError,
-                      TotalLabeling, build_family, construct, from_dict,
-                      from_json, to_dot)
+                      TotalLabeling, build_family, classify, construct,
+                      from_dict, from_json, to_dot)
 
 
 def docs():
@@ -185,3 +185,23 @@ def test_family_block_restores_names():
     doc = from_json(LabelingDocument(g, l).to_json())
     assert doc.graph.family is not None
     assert doc.graph.family.vertex_names == ("v_1", "v_2", "v_3")
+
+
+@pytest.mark.parametrize("family,kind,t,last_arc", [("tadpole", "saal", 2, "c"),
+                                                  ("friendship", "sa-al", None, "a_32")])
+def test_document_pipeline_leaves_names_underived(family, kind, t, last_arc):
+    # the layers never read a tag's names: each tag holds its four fields
+    # only, until a name lookup derives them
+    built = build_family(family, 3, t=t)
+    g, l = construct(family, 3, kind, t=t)
+    doc = LabelingDocument(g, l, classification=classify(g, l).to_dict())
+    loaded = from_json(doc.to_json())
+    to_dot(loaded)
+    for tag in (built.family, g.family, loaded.graph.family):
+        assert vars(tag).keys() == {"name", "n", "t", "orientation"}
+    assert g.arc_name(g.arc_count - 1) == last_arc
+    assert "_names" in vars(g.family)
+    # equal tags stay equal, hash alike and print alike once one has names
+    assert built == g == loaded.graph
+    assert hash(built) == hash(g) and repr(built) == repr(g)
+    assert repr(g.family) == f"FamilyTag(name={family!r}, n=3, t={t!r}, orientation=None)"
