@@ -66,10 +66,6 @@ def _cmd_construct(args) -> int:
     family = args.family
     kind = args.labeling
     g, l = construct(family, args.n, kind, t=args.t)
-    wanted = g.family.orientation
-    if args.orientation is not None and args.orientation != wanted:
-        return _fail(f"the {kind} labeling of a {family} uses the {wanted} orientation" if wanted
-                     else f"{family} has a single canonical orientation; do not pass --orientation")
     notes = (_PATH_CORRECTION_NOTE,) if (family, kind) == ("path", "sa-al") else ()
     doc = LabelingDocument(g, l, classification=classify(g, l).to_dict(), notes=notes)
     _write_output(doc.to_json(), args.out)
@@ -81,8 +77,8 @@ def _cmd_verify(args) -> int:
     if doc.labeling is None:
         return _fail("document carries no labeling to verify")
     g, l = doc.graph, doc.labeling
-    cls = classify(g, l)
     profile = weight_profile(g, l)
+    cls = classify(g, l, profile=profile)
     if g.family is not None:
         tag = g.family
         params = f" n={tag.n}" + (f" t={tag.t}" if tag.t is not None else "")
@@ -160,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--t", type=int, default=None)
-    c.add_argument("--orientation", default=None)
     c.add_argument("--labeling", required=True,
                    help="one of: " + "; ".join(
                        f"{f}: {', '.join(ks)}" for f, ks in CONSTRUCTION_KINDS.items()))

@@ -180,10 +180,15 @@ def verdict_of(weights: Sequence[int]) -> Verdict:
     return Verdict.antimagic()
 
 
-def classify(g: Digraph, l: TotalLabeling) -> Classification:
+def classify(g: Digraph, l: TotalLabeling, *,
+             profile: WeightProfile | None = None) -> Classification:
     """Full classification of a labeling: per-side verdicts plus the
-    strong (vertex labels = {1..|V|}) and strong* (arc labels = {1..|A|}) flags."""
-    profile = weight_profile(g, l)
+    strong (vertex labels = {1..|V|}) and strong* (arc labels = {1..|A|}) flags.
+
+    A caller that has weighed l already passes weight_profile(g, l) as
+    profile, and l is neither validated nor weighed again."""
+    if profile is None:
+        profile = weight_profile(g, l)
     # the labels are a bijection onto 1..N, so a side's labels are exactly
     # 1..k when none of its k labels exceeds k
     return Classification(

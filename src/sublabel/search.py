@@ -49,10 +49,11 @@ Two enumerators produce the same results:
      for each part with an arc written so far, the c that put those arcs,
      and f on f's part, on distinct labels in a_lo..a_hi off the vertex
      labels placed so far: the mask of unused labels shifted by each k_e
-     (mirrored for k_e - c), ANDed, with the c where two of them meet
-     cleared, and the one c = 0 of the forced part.  A mu that leaves
-     some part no c is dropped; as each vertex label takes a label from
-     every part, a part is rechecked at each slot after its last arc too.
+     of a k_e + c arc, ANDed, less each c that puts the k_e - c arcs on
+     labels used or taken by another arc of the part, checked c by c, and
+     the one c = 0 of the forced part.  A mu that leaves some part no c is
+     dropped; as each vertex label takes a label from every part, a part
+     is rechecked at each slot after its last arc too.
      On a dicycle the forms are c + P_v, with P_v = sum(vl[j] - mu for
      j <= v).  At the end of the vertex phase on a digraph with no part of
      two or more free arcs, mu is fixed and the parts are disjoint, so the
@@ -828,12 +829,11 @@ class _Kernel:
         so far and k_e = p * mu + fq[e].  With ref None it is the forced
         part: c is 0, and the mask is 1 iff the labels k_e are distinct bits
         of free.  Else c is the label of the arc ref, and the plus and minus
-        arcs get the labels c + k_e - k_ref and k_e + k_ref - c.  c and every
-        label must be a bit of free; for a minus arc, free mirrored to bit
-        2N - l for label l and shifted gives the c.  The labels must also
-        differ: two arcs of one sign differ iff their k_e do, ref being a
-        plus arc, and a plus and a minus arc meet at one c, which is
-        cleared.
+        arcs get the labels c + k_e - k_ref and k_e + k_ref - c, all of them
+        distinct bits of free.  ref being a plus arc, the plus labels differ
+        iff their k_e do, and free shifted by each k_e - k_ref, ANDed, gives
+        the c that put them on free.  Each such c is then kept iff the minus
+        labels are distinct bits of free that no plus label takes.
         """
         ref, plus, minus = part
         fq = self.fq
@@ -854,23 +854,20 @@ class _Kernel:
                 return 0
             ks |= 1 << k
             mask &= wide >> k
-        if not minus or not mask:
+        if not minus:
             return mask
-        top, seen = 2 * self.N, 0
-        mirrored = int(f"{free:0{top + 1}b}"[::-1], 2)
-        for e, p in minus:
-            k = p * mu + fq[e] + base
-            if k < 0 or k > top or seen >> k & 1:
-                return 0
-            seen |= 1 << k
-            mask &= mirrored >> top - k
-            left = ks
-            while left:
-                bit = left & -left
-                left ^= bit
-                d = k + span + 1 - bit.bit_length()  # k minus the plus arc's k
-                if d >= 0 and not d & 1:
-                    mask &= ~(1 << (d >> 1))
+        cs = mask
+        while cs:
+            bit = cs & -cs
+            cs ^= bit
+            c = bit.bit_length() - 1
+            left = free & ~(ks << c >> span)  # less the labels of ref and the plus arcs
+            for e, p in minus:
+                lab = p * mu + fq[e] + base - c
+                if lab < 0 or not left >> lab & 1:
+                    mask ^= bit
+                    break
+                left ^= 1 << lab
         return mask
 
     def _boundary(self):
@@ -893,29 +890,29 @@ class _Kernel:
         if self.arc_magic:
             self._arcs_arc_magic()
             return
-        if self.vertex_magic and self.cycles is not None:
-            # no part has two or more free arcs: count the completions, and
-            # walk them only for the witnesses
-            found = self._completions(self.cycles, sum(vl) // self.V,
-                                      self.arc_window & ~self.vmask)
-            if not self.cap:
-                self.count += self.weight * found
-                return
-            if not found:
-                return
+        if self.vertex_magic:
+            mu = self.mus.bit_length() - 1 - self.N  # the one mu rule 1 left
+            if self.cycles is not None:
+                # no part has two or more free arcs: count the completions,
+                # and walk them only for the witnesses
+                found = self._completions(self.cycles, mu, self.arc_window & ~self.vmask)
+                if not self.cap:
+                    self.count += self.weight * found
+                    return
+                if not found:
+                    return
         t = self.target
         arc = t.side == "arc"
         k = self.A if arc else self.V
         if k < 2 and t.kind != "magic":
             return  # no weight or a single one classifies as magic
-        # on the vertex side the arcs add to one vertex weight what they
-        # take from another
-        s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
         cands = None
         if t.kind == "magic":
-            mu = s // k  # exact: rule 1 kept V * mu = sum(vl)
             cands = [(mu, 0, mu)]
         elif t.kind == "arithmetic":
+            # on the vertex side the arcs add to one vertex weight what they
+            # take from another
+            s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
             if arc:
                 bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
                 lo, hi = self.a_lo + min(bases), self.a_hi + max(bases)

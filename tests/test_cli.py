@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from sublabel import from_json
+import sublabel.cli
+import sublabel.labeling
+from sublabel import from_json, weight_profile
 from sublabel.cli import main
 
 
@@ -96,18 +98,47 @@ def test_constructor_bounds_error_exits_2(capsys):
     assert "n >= 3" in err
 
 
-@pytest.mark.parametrize("extra,message", [
-    (["--family", "cycle", "--labeling", "sa-sv-al", "--orientation", "in"],
-     "single canonical orientation"),
-    (["--family", "path", "--labeling", "saml", "--orientation", "forward"],
-     "alternating orientation"),
-    (["--family", "path", "--labeling", "saml", "--t", "2"], "only meaningful for tadpoles"),
-])
-def test_construct_rejects_inapplicable_options(capsys, extra, message):
-    code, stdout, err = run(capsys, "construct", "--n", "4", *extra)
+def test_construct_rejects_inapplicable_options(capsys):
+    code, stdout, err = run(capsys, "construct", "--n", "4", "--family", "path",
+                            "--labeling", "saml", "--t", "2")
     assert code == 2
     assert stdout == ""
-    assert message in err
+    assert "only meaningful for tadpoles" in err
+
+
+# construct picks the one orientation each labeling is built on, so it has
+# no --orientation option, not even for the orientation it would pick
+@pytest.mark.parametrize("family,kind,orientation", [
+    ("cycle", "sa-sv-al", "in"),
+    ("path", "saml", "forward"),
+    ("path", "saml", "alternating"),
+])
+def test_construct_has_no_orientation_option(capsys, family, kind, orientation):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--family", family, "--n", "4", "--labeling", kind,
+              "--orientation", orientation])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: --orientation {orientation}" in captured.err
+
+
+def test_verify_weighs_the_labeling_once(capsys, monkeypatch, tmp_path):
+    # the printed weights and the verdicts come from one weight profile
+    out = tmp_path / "c5.json"
+    run(capsys, "construct", "--family", "cycle", "--n", "5", "--labeling", "sa-sv-al",
+        "--out", str(out))
+    calls = []
+
+    def counted(g, l):
+        calls.append(l)
+        return weight_profile(g, l)
+
+    monkeypatch.setattr(sublabel.cli, "weight_profile", counted)
+    monkeypatch.setattr(sublabel.labeling, "weight_profile", counted)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0 and "arithmetic (a=6, d=1)" in stdout
+    assert len(calls) == 1
 
 
 def test_verify_rejects_non_bijection_exits_2(capsys, tmp_path):

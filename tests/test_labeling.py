@@ -119,6 +119,8 @@ def test_classify_cycle3():
     assert c.arc_verdict == Verdict.arithmetic(4, 1)
     assert c.vertex_verdict == Verdict.arithmetic(1, 1)
     assert c.strong and not c.strong_star
+    # a caller that has the weights already passes them in
+    assert classify(CYCLE3, CYCLE3_L, profile=weight_profile(CYCLE3, CYCLE3_L)) == c
 
 
 def test_classify_repeated_weight_is_none():

@@ -129,8 +129,7 @@ def examples(*cases):
     # meets every arc form, though vertices 2 and 4 weigh 3 and 5, not mu = 4
     (Digraph(5, ((2, 1), (1, 2), (3, 4))), Target("vertex", "magic")),
     # the free arc (1, 3) closes the triangle 0, 1, 3; tree arc (0, 1)
-    # gets the label k + c and (0, 3) the label k - c, from the mirrored
-    # mask
+    # gets the label k + c and (0, 3) the label k - c, checked c by c
     (Digraph(4, ((0, 1), (0, 3), (1, 3), (2, 0))), Target("vertex", "magic")),
     # a part with two free arcs, as on wheels, is read from its
     # first-written arc and keeps the arc phase; wheel(3) has 10 labels,
