@@ -179,7 +179,8 @@ The search space is N!, so the entry point refuses graphs beyond a cap
 (default 12) unless the caller overrides it.  The cost depends on the
 target and on the symmetry of the graph far more than on N.  The README
 quotes measured node counts and times for magic, arithmetic and
-antimagic targets, and CI checks each of its node counts.
+antimagic targets; each count is a row of tests/pinned_searches.txt,
+which the tests and CI run.
 """
 
 from __future__ import annotations

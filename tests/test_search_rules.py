@@ -23,12 +23,14 @@ seen-weight mask and the candidates' term masks.  On the vertex side
 magic and arithmetic targets also keep each vertex able to reach the
 widest candidate progression, the one term mu for a magic target.  The
 pruned kernel must agree with the reference enumerator on random digraphs
-for every target kind, and the node counts of a few instances are pinned
-so that any change to the rules shows."""
+for every target kind, and the node counts of the searches in
+tests/pinned_searches.txt are pinned so that any change to the rules
+shows."""
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 
 from sublabel import (Digraph, SearchCapError, SearchQuery, Target, build_family,
                       classify, longest_circuit, mu_bounds, search)
+from sublabel.cli import main
 from sublabel.search import _Kernel, _report
 
 MAX_LABELS = 8
@@ -241,78 +244,43 @@ def test_arc_magic_witnesses_obey_mu_bounds(graph):
         assert bounds.contains(classify(graph, w).arc_verdict.mu)
 
 
-def pin(name, graph, target, nodes, solutions, mode="count-all", **flags):
-    """A pinned row; its id names the instance and leaves the counts out,
-    so a re-pin keeps the test's name.  flags are the strong flags."""
-    return pytest.param(SearchQuery(graph, target, mode=mode, **flags), nodes, solutions,
-                        id=name)
+TABLE = Path(__file__).resolve().parent / "pinned_searches.txt"
+ROOT = TABLE.parent.parent
 
 
-SAML, SVML = Target("arc", "magic"), Target("vertex", "magic")
+def pinned_searches():
+    """(id, nodes, solutions, search arguments) of each row of the table."""
+    rows = []
+    for line in TABLE.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, nodes, solutions, *args = line.split()
+            rows.append((name, int(nodes), int(solutions), args))
+    return rows
 
 
-@pytest.mark.parametrize("query,nodes,solutions", [
-    pin("tadpole-3-3-saml", build_family("tadpole", 3, t=3), SAML, 3164, 4),
-    pin("star-5-out-saml", build_family("star", 5, orientation="out"), SAML, 1790, 11520),
-    pin("star-3-svml", build_family("star", 3), SVML, 0, 0),
-    pin("cycle-4-sv-al", build_family("cycle", 4), Target("vertex", "arithmetic"), 4999, 816),
-    pin("cycle-4-saal", build_family("cycle", 4), Target("arc", "antimagic"), 15539, 30912),
-    pin("path-5-forward-sa-al", build_family("path", 5, orientation="forward"),
-        Target("arc", "arithmetic"), 27204, 5048),
-    pin("cycle-5-sv-al-a1-d1", build_family("cycle", 5), Target("vertex", "arithmetic", 1, 1),
-        1951, 720),
-    # the paper's constructions: path(n) sa-al with a = n + 2, tadpole(n, t)
-    # sv-al with a = n + t + 1 and friendship(n) sa-al with a = 2n + 2, d = 1
-    pin("path-6-forward-sa-al-a8-d1", build_family("path", 6, orientation="forward"),
-        Target("arc", "arithmetic", 8, 1), 4665, 690),
-    pin("tadpole-3-2-sv-al-a6-d1", build_family("tadpole", 3, t=2),
-        Target("vertex", "arithmetic", 6, 1), 6169, 266),
-    pin("friendship-2-sa-al-a6-d1", build_family("friendship", 2),
-        Target("arc", "arithmetic", 6, 1), 5440, 1384),
-    pin("tadpole-3-2-svml", build_family("tadpole", 3, t=2), SVML, 926, 13),
-    pin("cycle-6-svml", build_family("cycle", 6), SVML, 545, 0),
-    pin("path-5-alternating-saml", build_family("path", 5, orientation="alternating"), SAML,
-        1080, 96),
-    pin("tadpole-3-2-saml", build_family("tadpole", 3, t=2), SAML, 452, 0),
-    pin("path-6-svml", build_family("path", 6), SVML, 363, 0),
-    pin("star-5-in-svml", build_family("star", 5, orientation="in"), SVML, 0, 0),
-    pin("wheel-4-svml", build_family("wheel", 4), SVML, 0, 0),
-    pin("tadpole-3-3-svml", build_family("tadpole", 3, t=3), SVML, 6480, 25),
-    pin("tadpole-3-2-svml-first-witness", build_family("tadpole", 3, t=2), SVML, 189, 1,
-        mode="first-witness"),
-    # every slot rechecks each part with an arc written so far, so a vertex
-    # label placed after a part's last arc cuts the prefix there: a kernel
-    # that checks each part only at its own slots visits 2,782, 3,075 and
-    # 503 nodes
-    pin("butterfly-3-svml", build_family("butterfly", 3), SVML, 1947, 192),
-    pin("friendship-2-svml", build_family("friendship", 2), SVML, 2270, 192),
-    pin("tadpole-3-3-svml-first-witness", build_family("tadpole", 3, t=3), SVML, 388, 1,
-        mode="first-witness"),
-    # wheel(3) reaches a part with two free arcs; wheel(4)'s mu seed is empty
-    pin("wheel-3-svml", build_family("wheel", 3), SVML, 17, 0),
-    pin("wheel-3-svml-first-witness", build_family("wheel", 3), SVML, 41, 0,
-        mode="first-witness"),
-    # the sum of the first component fixes mu at its last vertex; without
-    # that cut the count-all search visits 147 nodes and counts 10
-    # labelings whose vertex weights differ
-    pin("two-components-svml", Digraph(5, ((2, 1), (1, 2), (3, 4))), SVML, 52, 0),
-    # the vertex-side arc loop on the seen and term masks: a vertex
-    # antimagic count-all search, and the costliest witness walk the README
-    # quotes, with no symmetry cut
-    pin("star-4-in-sval", build_family("star", 4, orientation="in"),
-        Target("vertex", "antimagic"), 35907, 203616),
-    pin("wheel-4-sv-al-first-witness", build_family("wheel", 4), Target("vertex", "arithmetic"),
-        370940, 1, mode="first-witness"),
-    # each vertex's open arcs take distinct labels in the arc window, which
-    # --strong narrows to V + 1..N: with every arc at 1..N, repeats allowed,
-    # the search visits 16,309 nodes
-    pin("wheel-4-sv-al-strong-first-witness", build_family("wheel", 4),
-        Target("vertex", "arithmetic"), 325, 0, mode="first-witness", require_strong=True),
-])
-def test_pinned_node_counts(query, nodes, solutions):
-    # wheel(4) has 13 labels, over the default cap
-    report = search(query, cap=13)
-    assert (report.nodes_visited, report.solutions_found) == (nodes, solutions)
+PINNED = pinned_searches()
+
+
+@pytest.mark.parametrize("nodes,solutions,args",
+                         [pytest.param(*row[1:], id=row[0]) for row in PINNED])
+def test_pinned_node_counts(nodes, solutions, args, capsys, monkeypatch):
+    # the table's --input paths are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    code = main(["search", *args])
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert (code, report["nodes_visited"], report["solutions_found"]) == \
+        (0 if solutions else 1, nodes, solutions)
+
+
+def test_readme_quotes_only_pinned_counts():
+    # a figure may wrap onto the next line, and carries thousands separators
+    readme = (ROOT / "README.md").read_text()
+    for column, unit in ((1, "nodes"), (2, "solutions")):
+        quoted = {int((count or field).replace(",", "")) for count, field in
+                  re.findall(rf"(\d[\d,]*)\s+{unit}\b|{unit}: (\d+)", readme)}
+        assert quoted
+        assert quoted - {row[column] for row in PINNED} == set(), unit
 
 
 def every_witness(graph, target, **flags):
@@ -483,17 +451,15 @@ def test_reference_count_all_visits_every_prefix(family, n, nodes):
     assert report.exhaustive
 
 
-@pytest.mark.parametrize("query,nodes", [
-    (SearchQuery(build_family("tadpole", 3, t=3), Target("arc", "magic"),
-                 mode="first-witness"), 2320),
-    (SearchQuery(build_family("path", 5, orientation="forward"), Target("arc", "arithmetic"),
-                 mode="collect-up-to", limit=100), 577),
+@pytest.mark.parametrize("query", [
+    SearchQuery(build_family("tadpole", 3, t=3), Target("arc", "magic"), mode="first-witness"),
+    SearchQuery(build_family("path", 5, orientation="forward"), Target("arc", "arithmetic"),
+                mode="collect-up-to", limit=100),
 ], ids=["tadpole-3-3-saml-first-witness", "path-5-forward-sa-al-collect-100"])
-def test_witness_modes_report_the_same_at_two_workers(query, nodes):
+def test_witness_modes_report_the_same_at_two_workers(query):
     one, two = search(query).to_dict(), search(query, workers=2).to_dict()
     del one["elapsed"], two["elapsed"]
     assert two == one
-    assert one["nodes_visited"] == nodes
 
 
 def test_count_all_nodes_are_the_same_at_two_workers():
