@@ -26,8 +26,8 @@ Family conventions (all arc lists are stored in the order given here):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 
 class ParameterError(ValueError):
@@ -48,8 +48,46 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class Record:
+    """Base of the library's value records.
+
+    Each subclass names its fields, in order, in `_fields` (at least two,
+    so that `_values` returns a tuple), and its own __init__ fills them
+    through the instance __dict__.  Two records are equal when they are of
+    one class and their fields are equal; the hash and the repr are those
+    of the same fields, as a frozen dataclass gives them, and assigning or
+    deleting an attribute raises AttributeError.  A mutable subclass puts
+    back object's __setattr__ and __delattr__ and sets __hash__ to None.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the tuple of a record's field values; an attrgetter binds to no
+        # instance, so it is called as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class FamilyTag(Record):
     """Provenance of a generated digraph: family name and parameters.
 
     vertex_names and arc_names map indices to the conventional names.
@@ -58,10 +96,11 @@ class FamilyTag:
     repr see the four fields only.
     """
 
-    name: str
-    n: int
-    t: int | None = None
-    orientation: str | None = None
+    _fields = ("name", "n", "t", "orientation")
+
+    def __init__(self, name: str, n: int, t: int | None = None,
+                 orientation: str | None = None):
+        self.__dict__.update(name=name, n=n, t=t, orientation=orientation)
 
     @property
     def vertex_names(self) -> tuple[str, ...]:
@@ -91,8 +130,7 @@ class FamilyTag:
         return d
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """A simple directed graph: no self-loops, no repeated arcs.
 
     Immutable after construction; safe to share between threads.  The
@@ -100,19 +138,25 @@ class Digraph:
     build equal tuples, so whichever is kept, every reader sees the same.
     """
 
-    vertex_count: int
-    arcs: tuple[tuple[int, int], ...]
-    family: FamilyTag | None = None
+    _fields = ("vertex_count", "arcs", "family")
 
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, arcs: tuple[tuple[int, int], ...],
+                 family: FamilyTag | None = None):
+        self.__dict__.update(vertex_count=vertex_count,
+                             arcs=self._checked_arcs(vertex_count, arcs), family=family)
+
+    @staticmethod
+    def _checked_arcs(n: int, given) -> tuple[tuple[int, int], ...]:
+        """The arcs as a tuple of (tail, head) tuples, once n is checked to be
+        a vertex count and each arc to join two of its vertices, with no
+        self-loop and no arc twice."""
         if type(n) is not int:
             raise NotIntegerError(f"vertex_count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         arcs = []
         seen = set()
-        for arc in self.arcs:
+        for arc in given:
             try:
                 t, h = arc
             except (TypeError, ValueError):
@@ -129,7 +173,7 @@ class Digraph:
             if arc in seen:
                 raise ValueError(f"duplicate arc ({t},{h})")
             seen.add(arc)
-        object.__setattr__(self, "arcs", tuple(arcs))
+        return tuple(arcs)
 
     @property
     def arc_count(self) -> int:

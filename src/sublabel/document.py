@@ -8,10 +8,9 @@ ignored).  All numbers are plain integers; weights may be negative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import Digraph, ParameterError, build_family
+from .digraph import Digraph, ParameterError, Record, build_family
 from .labeling import TotalLabeling, weight_profile
 
 FORMAT_VERSION = 1
@@ -30,19 +29,39 @@ class DocumentError(ValueError):
 # one [tail, head] pair as json.dumps(indent=2) writes it inside the arcs list
 _ARC = "[\n      %d,\n      %d\n    ]"
 
-
-def _json_array(item: str, count: int, values: tuple) -> str:
-    """A non-empty top-level array of count items as json.dumps(indent=2)
-    writes it, from one template of count copies of item filled by values."""
-    return ("[\n    " + (item + ",\n    ") * (count - 1) + item + "\n  ]") % values
+# the lists of weights that `sublabel verify` adds to the classification block
+_WEIGHT_KEYS = ("arc_weights", "vertex_weights")
 
 
-@dataclass(frozen=True)
-class LabelingDocument:
-    graph: Digraph
-    labeling: TotalLabeling | None = None
-    classification: dict | None = None
-    notes: tuple[str, ...] = ()
+def _json_array(item: str, count: int, values: tuple, depth: int = 1) -> str:
+    """A non-empty array of count items, the value of a key `depth` objects
+    deep, as json.dumps(indent=2) writes it, from one template of count
+    copies of item filled by values."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return ("[" + inner + (item + "," + inner) * (count - 1) + item + outer + "]") % values
+
+
+def _json_classification(block: dict) -> str:
+    """A non-empty classification block as json.dumps(indent=2) writes it as
+    the value of a top-level key.  Lists of ints under _WEIGHT_KEYS go
+    through _json_array; every other value goes through json.dumps."""
+    parts = []
+    for key, value in block.items():
+        if key in _WEIGHT_KEYS and type(value) is list and value and set(map(type, value)) <= {int}:
+            text = f"{json.dumps(key)}: {_json_array('%d', len(value), tuple(value), 2)}"
+        else:  # the one-key object {key: value} with its braces cut off
+            text = json.dumps({key: value}, indent=2)[4:-2].replace("\n", "\n  ")
+        parts.append("    " + text)
+    return "{\n" + ",\n".join(parts) + "\n  }"
+
+
+class LabelingDocument(Record):
+    _fields = ("graph", "labeling", "classification", "notes")
+
+    def __init__(self, graph: Digraph, labeling: TotalLabeling | None = None,
+                 classification: dict | None = None, notes: tuple[str, ...] = ()):
+        self.__dict__.update(graph=graph, labeling=labeling,
+                             classification=classification, notes=notes)
 
     def _items(self):
         """The document's (key, value) pairs in the order it is written;
@@ -74,14 +93,17 @@ class LabelingDocument:
         """Exactly json.dumps(self.to_dict(), indent=2) + "\n".
 
         json.dumps hands any indent to its pure-Python encoder, so the
-        three large arrays are written here, each with one %-template;
-        the small values still go through json.dumps, one level deeper."""
+        large arrays are written here, each with one %-template: the arcs,
+        both label lists and the classification block's weight lists.
+        The small values still go through json.dumps, one level deeper."""
         parts = []
         for key, value in self._items():
             if key == "arcs" and value:
                 text = _json_array(_ARC, len(value), tuple(chain.from_iterable(value)))
             elif key in ("vertex_labels", "arc_labels") and value:
                 text = _json_array("%d", len(value), value)
+            elif key == "classification" and isinstance(value, dict) and value:
+                text = _json_classification(value)
             else:  # json.dumps escapes a newline in a string, so each \n starts a line
                 text = json.dumps(value, indent=2).replace("\n", "\n  ")
             parts.append(f'  "{key}": {text}')

@@ -20,39 +20,37 @@ An empty vector is reported magic with mu=None (vacuously constant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
-from .digraph import Digraph, int_tuple
+from .digraph import Digraph, Record, int_tuple
 
 
 class BijectionError(ValueError):
     """The labels do not form a bijection onto 1..|V|+|A|."""
 
 
-@dataclass(frozen=True)
-class TotalLabeling:
-    vertex_labels: tuple[int, ...]
-    arc_labels: tuple[int, ...]
+class TotalLabeling(Record):
+    _fields = ("vertex_labels", "arc_labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", int_tuple(self.vertex_labels, "vertex labels"))
-        object.__setattr__(self, "arc_labels", int_tuple(self.arc_labels, "arc labels"))
+    def __init__(self, vertex_labels: tuple[int, ...], arc_labels: tuple[int, ...]):
+        self.__dict__.update(vertex_labels=int_tuple(vertex_labels, "vertex labels"),
+                             arc_labels=int_tuple(arc_labels, "arc labels"))
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    arc_weights: tuple[int, ...]
-    vertex_weights: tuple[int, ...]
+class WeightProfile(Record):
+    _fields = ("arc_weights", "vertex_weights")
+
+    def __init__(self, arc_weights: tuple[int, ...], vertex_weights: tuple[int, ...]):
+        self.__dict__.update(arc_weights=arc_weights, vertex_weights=vertex_weights)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "magic" | "arithmetic" | "antimagic" | "none"
-    mu: int | None = None
-    a: int | None = None
-    d: int | None = None
+class Verdict(Record):
+    _fields = ("kind", "mu", "a", "d")
+
+    def __init__(self, kind: str, mu: int | None = None, a: int | None = None,
+                 d: int | None = None):
+        # kind is "magic" | "arithmetic" | "antimagic" | "none"
+        self.__dict__.update(kind=kind, mu=mu, a=a, d=d)
 
     @classmethod
     def magic(cls, mu: int | None) -> "Verdict":
@@ -86,12 +84,15 @@ class Verdict:
         return d
 
 
-@dataclass(frozen=True)
-class Classification:
-    arc_verdict: Verdict
-    vertex_verdict: Verdict
-    strong: bool        # vertex labels are exactly {1..|V|}
-    strong_star: bool   # arc labels are exactly {1..|A|}
+class Classification(Record):
+    _fields = ("arc_verdict", "vertex_verdict", "strong", "strong_star")
+
+    def __init__(self, arc_verdict: Verdict, vertex_verdict: Verdict, strong: bool,
+                 strong_star: bool):
+        # strong: the vertex labels are exactly {1..|V|}; strong_star: the
+        # arc labels are exactly {1..|A|}
+        self.__dict__.update(arc_verdict=arc_verdict, vertex_verdict=vertex_verdict,
+                             strong=strong, strong_star=strong_star)
 
     def to_dict(self) -> dict:
         return {
@@ -102,21 +103,22 @@ class Classification:
         }
 
 
-@dataclass(frozen=True)
-class MuBound:
+class MuBound(Record):
     """Bounds on the arc-magic constant from the longest directed circuit.
 
     With s >= 2 the longest circuit length and N the label range size, any
     arc-magic constant mu satisfies (s+1)/2 <= mu <= (2N-s+1)/2: around a
     circuit the vertex labels cancel, so s * mu is the sum of s distinct
-    arc labels.  The bounds are kept as exact rationals.
+    arc labels.  lower and upper are exact rationals, Fractions.
     """
 
-    s: int
-    lower: Fraction
-    upper: Fraction
+    _fields = ("s", "lower", "upper")
 
-    def contains(self, mu: int | Fraction) -> bool:
+    def __init__(self, s: int, lower, upper):
+        self.__dict__.update(s=s, lower=lower, upper=upper)
+
+    def contains(self, mu) -> bool:
+        """Whether mu, an int or a Fraction, lies within the bounds."""
         return self.lower <= mu <= self.upper
 
 
@@ -240,5 +242,6 @@ def mu_bounds(g: Digraph) -> MuBound:
     s = longest_circuit(g)
     if not s:
         raise ValueError("the arc-magic bounds need a directed circuit, and the graph has none")
+    from fractions import Fraction  # imported here: nothing else needs it
     n = g.label_count
     return MuBound(s, Fraction(s + 1, 2), Fraction(2 * n - s + 1, 2))

@@ -187,11 +187,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from itertools import permutations
 from operator import mul
 
-from .digraph import Digraph
+from .digraph import Digraph, Record
 from .labeling import TotalLabeling, Verdict, classify
 
 DEFAULT_CAP = 12
@@ -213,8 +212,7 @@ def _require_int(value, name: str):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     """Weight class to search for on one side of the labeling.
 
     * magic      -- all weights equal
@@ -223,23 +221,21 @@ class Target:
                     `a` and/or `d` pin the progression down when given
     """
 
-    side: str
-    kind: str
-    a: int | None = None
-    d: int | None = None
+    _fields = ("side", "kind", "a", "d")
 
-    def __post_init__(self):
-        if self.side not in TARGET_SIDES:
-            raise ValueError(f"target side must be one of {TARGET_SIDES}, got {self.side!r}")
-        if self.kind not in TARGET_KINDS:
-            raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {self.kind!r}")
-        if self.kind != "arithmetic" and (self.a is not None or self.d is not None):
-            raise ValueError(f"a and d apply to arithmetic targets only, not to {self.kind}")
-        for name, value in (("a", self.a), ("d", self.d)):
+    def __init__(self, side: str, kind: str, a: int | None = None, d: int | None = None):
+        if side not in TARGET_SIDES:
+            raise ValueError(f"target side must be one of {TARGET_SIDES}, got {side!r}")
+        if kind not in TARGET_KINDS:
+            raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {kind!r}")
+        if kind != "arithmetic" and (a is not None or d is not None):
+            raise ValueError(f"a and d apply to arithmetic targets only, not to {kind}")
+        for name, value in (("a", a), ("d", d)):
             if value is not None:
                 _require_int(value, name)
-        if self.d is not None and self.d < 1:
-            raise ValueError(f"the weight difference d must be at least 1, got {self.d}")
+        if d is not None and d < 1:
+            raise ValueError(f"the weight difference d must be at least 1, got {d}")
+        self.__dict__.update(side=side, kind=kind, a=a, d=d)
 
     def matches(self, verdict: Verdict) -> bool:
         if self.kind == "magic":
@@ -252,24 +248,22 @@ class Target:
                (self.d is None or verdict.d == self.d)
 
 
-@dataclass(frozen=True)
-class SearchQuery:
-    graph: Digraph
-    target: Target
-    require_strong: bool = False
-    require_strong_star: bool = False
-    mode: str = "count-all"  # one of SEARCH_MODES
-    limit: int | None = None
+class SearchQuery(Record):
+    _fields = ("graph", "target", "require_strong", "require_strong_star", "mode", "limit")
 
-    def __post_init__(self):
-        if self.mode not in SEARCH_MODES:
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.limit is not None:
-            _require_int(self.limit, "limit")
-        if self.mode == "collect-up-to" and (self.limit is None or self.limit < 1):
+    def __init__(self, graph: Digraph, target: Target, require_strong: bool = False,
+                 require_strong_star: bool = False, mode: str = "count-all",
+                 limit: int | None = None):
+        if mode not in SEARCH_MODES:
+            raise ValueError(f"unknown search mode {mode!r}")
+        if limit is not None:
+            _require_int(limit, "limit")
+        if mode == "collect-up-to" and (limit is None or limit < 1):
             raise ValueError("collect-up-to mode needs a positive limit")
-        if self.mode != "collect-up-to" and self.limit is not None:
-            raise ValueError(f"a limit applies to collect-up-to mode only, not to {self.mode}")
+        if mode != "collect-up-to" and limit is not None:
+            raise ValueError(f"a limit applies to collect-up-to mode only, not to {mode}")
+        self.__dict__.update(graph=graph, target=target, require_strong=require_strong,
+                             require_strong_star=require_strong_star, mode=mode, limit=limit)
 
     @property
     def witness_cap(self) -> int:
@@ -281,8 +275,7 @@ class SearchQuery:
         return self.limit
 
 
-@dataclass
-class SearchReport:
+class SearchReport(Record):
     """Certificate of a search run.
 
     `exhaustive` is true iff the whole space was covered; count-all runs
@@ -292,17 +285,27 @@ class SearchReport:
     other search.  `dual` is true iff such a search also left out the dual
     orbits (rule 5): its count is then `automorphisms` times the canonical
     labelings kept, most of them counted twice.  Every field but `elapsed`
-    is the same at any worker count.
+    is the same at any worker count.  A report can be changed in place and
+    has no hash.
     """
 
-    query: SearchQuery
-    exhaustive: bool
-    solutions_found: int
-    witnesses: list[TotalLabeling]
-    nodes_visited: int
-    automorphisms: int
-    dual: bool
-    elapsed: float
+    _fields = ("query", "exhaustive", "solutions_found", "witnesses", "nodes_visited",
+               "automorphisms", "dual", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, query: SearchQuery, exhaustive: bool, solutions_found: int,
+                 witnesses: list[TotalLabeling], nodes_visited: int, automorphisms: int,
+                 dual: bool, elapsed: float):
+        self.query = query
+        self.exhaustive = exhaustive
+        self.solutions_found = solutions_found
+        self.witnesses = witnesses
+        self.nodes_visited = nodes_visited
+        self.automorphisms = automorphisms
+        self.dual = dual
+        self.elapsed = elapsed
 
     def to_dict(self) -> dict:
         g = self.query.graph

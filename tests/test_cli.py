@@ -141,6 +141,28 @@ def test_verify_weighs_the_labeling_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("document", [
+    {"format_version": 1, "family": {"name": "tadpole", "n": 4, "t": 3}, "vertex_count": 7,
+     "arcs": [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 0]],
+     "vertex_labels": [4, 7, 6, 5, 1, 2, 3], "arc_labels": [8, 9, 10, 11, 14, 13, 12]},
+    {"format_version": 1, "vertex_count": 3, "arcs": [],
+     "vertex_labels": [2, 3, 1], "arc_labels": []},
+], ids=["tadpole", "no-arcs"])
+def test_verify_writes_its_document_as_json_dumps(capsys, tmp_path, document):
+    # the enriched document follows the report lines, its weight lists
+    # written by to_json itself: negative, and empty without arcs
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    text = stdout[stdout.index("\n{") + 1:]
+    assert code == 0 and text == json.dumps(json.loads(text), indent=2) + "\n"
+    weights = json.loads(text)["classification"]
+    doc = from_json(json.dumps(document))
+    profile = weight_profile(doc.graph, doc.labeling)
+    assert weights["arc_weights"] == list(profile.arc_weights)
+    assert weights["vertex_weights"] == list(profile.vertex_weights)
+
+
 def test_verify_rejects_non_bijection_exits_2(capsys, tmp_path):
     doc = {"format_version": 1, "vertex_count": 3, "arcs": [[0, 1], [1, 2]],
            "vertex_labels": [1, 2, 3], "arc_labels": [6, 5]}
@@ -493,3 +515,31 @@ def test_closed_stdout_ends_quietly_with_exit_141():
     assert proc.wait(timeout=60) == 141
     assert head[0].startswith(b"search: cycle")
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_cli_import_loads_no_dataclasses_fractions_or_typing():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # the modules `import sublabel.cli` adds to those that argparse and json
+    # load, so that what the interpreter and site load at start-up differs
+    # between Python versions does not matter
+    code = ("import argparse, json, sys\n"
+            "before = set(sys.modules)\n"
+            "import sublabel.cli\n"
+            "import sublabel\n"
+            "print(json.dumps({'added': sorted(set(sys.modules) - before),\n"
+            "                  'search': sublabel.search.__module__,\n"
+            "                  'callable': callable(sublabel.search)}))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = json.loads(proc.stdout)
+    added = set(loaded["added"])
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+    # sublabel.search is loaded, and the package's name search is the function
+    assert "sublabel.search" in added
+    assert loaded["search"] == "sublabel.search" and loaded["callable"]

@@ -173,8 +173,13 @@ def test_non_integer_family_parameters_are_refused(family, kind, n, t):
 
 def test_family_document_builds_one_digraph(monkeypatch):
     built = []
-    check = Digraph.__post_init__
-    monkeypatch.setattr(Digraph, "__post_init__", lambda g: built.append(check(g)))
+    check = Digraph._checked_arcs
+
+    def counted(n, arcs):
+        built.append(n)
+        return check(n, arcs)
+
+    monkeypatch.setattr(Digraph, "_checked_arcs", staticmethod(counted))
     text = LabelingDocument(*construct("tadpole", 3, "saal", t=2)).to_json()
     built.clear()
     assert from_json(text).graph.family.t == 2 and len(built) == 1

@@ -17,7 +17,6 @@ label masks; that count must be what collect-all walks in the arc phase
 and what the reference enumerator finds."""
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +141,13 @@ def test_dual_reflects_every_weight(case):
 AWKWARD_NOTES = ('say "magic"', "back\\slash", "two\nlines", "μ ≤ 2N — café")
 
 
+# weight lists as a classification block may hold them: negative, zero,
+# one-element and empty lists of ints, and lists with a bool, which JSON
+# writes as true or false, not as 1 or 0
+WEIGHT_LISTS = (st.lists(st.integers(-40, 40), max_size=4)
+                | st.lists(st.integers() | st.booleans(), max_size=3))
+
+
 @st.composite
 def documents(draw):
     g, l = draw(labeled())
@@ -149,6 +155,11 @@ def documents(draw):
     classification = None
     if labeling is not None and draw(st.booleans()):
         classification = classify(g, labeling).to_dict()
+        if draw(st.booleans()):  # the weight lists `sublabel verify` adds, or drawn ones
+            profile = weight_profile(g, labeling)
+            for key, weights in (("arc_weights", profile.arc_weights),
+                                 ("vertex_weights", profile.vertex_weights)):
+                classification[key] = draw(st.just(list(weights)) | WEIGHT_LISTS)
     notes = tuple(draw(st.lists(st.text(max_size=12) | st.sampled_from(AWKWARD_NOTES),
                                 max_size=3)))
     return LabelingDocument(g, labeling, classification, notes)
@@ -164,6 +175,11 @@ def assert_byte_contract(doc):
 @given(documents())
 @example(LabelingDocument(Digraph(0, ()), TotalLabeling((), ())))
 @example(LabelingDocument(Digraph(3, ())))
+@example(LabelingDocument(Digraph(2, ((0, 1),)), TotalLabeling((3, 1), (2,)),
+                          {"arc_weights": [], "vertex_weights": [0]}))
+@example(LabelingDocument(Digraph(2, ((0, 1),)), TotalLabeling((3, 1), (2,)),
+                          {"strong": True, "arc_weights": [-3, 0, 5],
+                           "vertex_weights": [True, -1]}))
 def test_to_json_is_json_dumps_and_round_trips(doc):
     assert_byte_contract(doc)
 
@@ -248,7 +264,9 @@ def cacti(draw):
 def test_vertex_magic_count_all_matches_collect_all(graph, strong, strong_star):
     q = SearchQuery(graph, Target("vertex", "magic"), require_strong=strong,
                     require_strong_star=strong_star)
-    every = search(replace(q, mode="collect-up-to", limit=10 ** 9))
+    every = search(SearchQuery(graph, Target("vertex", "magic"), require_strong=strong,
+                               require_strong_star=strong_star, mode="collect-up-to",
+                               limit=10 ** 9))
     one, two = search(q), search(q, workers=2)
     assert one.solutions_found == two.solutions_found == every.solutions_found
     assert one.nodes_visited == two.nodes_visited

@@ -33,7 +33,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -215,7 +214,8 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, 
         assert pruned.exhaustive == reference.exhaustive
         assert pruned.nodes_visited <= reference.nodes_visited
     # only a count-all search is split over the first labels
-    count_all = replace(q, mode="count-all", limit=None)
+    count_all = SearchQuery(graph, target, require_strong=strong,
+                            require_strong_star=strong_star)
     one, split = search(count_all), two_workers(count_all)
     assert (split.solutions_found, split.nodes_visited, split.exhaustive) == \
         (one.solutions_found, one.nodes_visited, True)
@@ -418,7 +418,10 @@ def test_reference_reports_no_automorphism_factor():
 def test_dual_cut_counts_every_labeling(query, dual, solutions):
     one, two = search(query), search(query, workers=2)
     assert one.dual is two.dual is one.to_dict()["dual"] is dual
-    every = search(replace(query, mode="collect-up-to", limit=10 ** 9))
+    every = search(SearchQuery(query.graph, query.target,
+                               require_strong=query.require_strong,
+                               require_strong_star=query.require_strong_star,
+                               mode="collect-up-to", limit=10 ** 9))
     assert not every.dual
     assert one.solutions_found == two.solutions_found == every.solutions_found == solutions
     if query.graph.label_count <= 8:
