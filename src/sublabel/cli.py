@@ -10,6 +10,7 @@ stdout was closed before the output was written (for example by `| head`).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -131,8 +132,7 @@ def _cmd_search(args) -> int:
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}   "
           f"solutions: {report.solutions_found}   "
           f"nodes: {report.nodes_visited}   elapsed: {report.elapsed:.3f}s")
-    import json as _json
-    print(_json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.solutions_found > 0 else 1
 
 

@@ -87,6 +87,12 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
+def set_fields(record: Record) -> dict:
+    """The fields of record that are not None, by name, in `_fields` order:
+    the JSON block of a family tag, a verdict or a search target."""
+    return {f: v for f, v in zip(record._fields, record._values(record)) if v is not None}
+
+
 class FamilyTag(Record):
     """Provenance of a generated digraph: family name and parameters.
 
@@ -119,15 +125,6 @@ class FamilyTag(Record):
             return (), ()
         _, names, *_ = row
         return names(self.n, self.t)
-
-    def to_dict(self) -> dict:
-        """The JSON family block: name and n, then t and orientation when set."""
-        d: dict = {"name": self.name, "n": self.n}
-        if self.t is not None:
-            d["t"] = self.t
-        if self.orientation is not None:
-            d["orientation"] = self.orientation
-        return d
 
 
 class Digraph(Record):

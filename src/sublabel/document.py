@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .digraph import Digraph, ParameterError, Record, build_family
+from .digraph import Digraph, ParameterError, Record, build_family, set_fields
 from .labeling import TotalLabeling, weight_profile
 
 FORMAT_VERSION = 1
@@ -68,7 +68,7 @@ class LabelingDocument(Record):
         the arcs, labels and notes are the stored tuples."""
         yield "format_version", FORMAT_VERSION
         if self.graph.family is not None:
-            yield "family", self.graph.family.to_dict()
+            yield "family", set_fields(self.graph.family)
         yield "vertex_count", self.graph.vertex_count
         yield "arcs", self.graph.arcs
         if self.labeling is not None:

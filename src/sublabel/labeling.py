@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .digraph import Digraph, Record, int_tuple
+from .digraph import Digraph, Record, int_tuple, set_fields
 
 
 class BijectionError(ValueError):
@@ -75,14 +75,6 @@ class Verdict(Record):
             return f"arithmetic (a={self.a}, d={self.d})"
         return self.kind
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("mu", "a", "d"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
-
 
 class Classification(Record):
     _fields = ("arc_verdict", "vertex_verdict", "strong", "strong_star")
@@ -96,8 +88,8 @@ class Classification(Record):
 
     def to_dict(self) -> dict:
         return {
-            "arc": self.arc_verdict.to_dict(),
-            "vertex": self.vertex_verdict.to_dict(),
+            "arc": set_fields(self.arc_verdict),
+            "vertex": set_fields(self.vertex_verdict),
             "strong": self.strong,
             "strong_star": self.strong_star,
         }

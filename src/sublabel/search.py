@@ -190,7 +190,7 @@ import time
 from itertools import permutations
 from operator import mul
 
-from .digraph import Digraph, Record
+from .digraph import Digraph, Record, set_fields
 from .labeling import TotalLabeling, Verdict, classify
 
 DEFAULT_CAP = 12
@@ -309,20 +309,14 @@ class SearchReport(Record):
 
     def to_dict(self) -> dict:
         g = self.query.graph
-        t = self.query.target
-        target = {"side": t.side, "kind": t.kind}
-        if t.a is not None:
-            target["a"] = t.a
-        if t.d is not None:
-            target["d"] = t.d
         return {
             "query": {
                 "graph": {
                     "vertex_count": g.vertex_count,
                     "arcs": [list(a) for a in g.arcs],
-                    "family": g.family.to_dict() if g.family is not None else None,
+                    "family": set_fields(g.family) if g.family is not None else None,
                 },
-                "target": target,
+                "target": set_fields(self.query.target),
                 "require_strong": self.query.require_strong,
                 "require_strong_star": self.query.require_strong_star,
                 "mode": self.query.mode,
@@ -348,6 +342,11 @@ def _terms(k: int, a: int, d: int, off: int) -> int:
     return ((1 << k * d) - 1) // ((1 << d) - 1) << a + off if d else 1 << a + off
 
 
+class _WitnessBound(Exception):
+    """Raised by _Kernel._leaf once a witness search holds its bound of
+    witnesses; it unwinds the search to run(), which catches it."""
+
+
 def _window(coef: list, lo: int, hi: int) -> tuple:
     """The window of coef: the least and the greatest sum(c * label) with
     distinct labels in lo..hi, by the rearrangement bound of the module
@@ -369,13 +368,13 @@ class _Kernel:
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
                  "rest", "sums", "off", "progs", "forms", "comps", "fq", "parts", "cycles",
-                 "count", "weight", "nodes", "wits", "stopped", "cap", "used", "vl", "al",
-                 "mus", "bases", "vmask", "w_off", "pw")
+                 "count", "weight", "nodes", "wits", "cap", "used", "vl", "al", "w_off", "pw")
 
     def __init__(self, query: SearchQuery):
         g = query.graph
         self.query = query
         self.target = query.target
+        self.cap = query.witness_cap
         self.V = g.vertex_count
         self.A = g.arc_count
         self.N = g.label_count
@@ -401,7 +400,7 @@ class _Kernel:
         above = [[] for _ in range(self.V)]
         self.automorphisms = 1
         self.mirror = ()
-        if not query.witness_cap:
+        if not self.cap:
             base = g.automorphism_base()
             for b, orbit in base:
                 self.automorphisms *= len(orbit)
@@ -618,31 +617,32 @@ class _Kernel:
         """Explore the tree (or the branch under first_label).
 
         Returns (count, witnesses, nodes, completed) where completed is
-        False iff the run stopped early at its witness bound.  count is the
-        number of canonical labelings, those of rule 5 with F < N+1 twice,
-        times the automorphism group order.
+        False iff the run ended early at its witness bound, which _leaf
+        raises out of the recursion.  count is the number of canonical
+        labelings, those of rule 5 with F < N+1 twice, times the
+        automorphism group order.  The arrays the search changes in place
+        are made afresh, so a kernel may run again after its bound ended it.
         """
         self.count = 0
         self.weight = 1
         self.nodes = 0
         self.wits: list[TotalLabeling] = []
-        self.stopped = False
-        self.cap = self.query.witness_cap
         self.used = [False] * (self.N + 2)
         self.vl = [0] * self.V
         self.al = [0] * self.A
-        # rule 1: mus holds the feasible mu and bit x of vmask is set for
-        # each vertex label placed; on the arc side bit b + N of bases is set
-        # for each base placed, and on the vertex side fq[e] is the constant
-        # of tree arc e's label once written
-        self.mus, self.bases, self.vmask = self.mu_seed, 0, 0
+        # rule 1, vertex side: fq[e] is the constant of tree arc e's label
+        # once written
         self.fq = [0] * self.A
-        if self.V:
-            if self.mus:
-                self._vertex_slot(0, first_label)
-        elif self.target.kind == "magic":
-            self._leaf()  # the empty labeling: no weights, vacuously magic
-        return self.count * self.automorphisms, self.wits, self.nodes, not self.stopped
+        completed = True
+        try:
+            if self.V:
+                if self.mu_seed:
+                    self._vertex_slot(0, self.mu_seed, 0, 0, first_label)
+            elif self.target.kind == "magic":
+                self._leaf()  # the empty labeling: no weights, vacuously magic
+        except _WitnessBound:
+            completed = False
+        return self.count * self.automorphisms, self.wits, self.nodes, completed
 
     # -- vertex phase -------------------------------------------------
 
@@ -666,18 +666,24 @@ class _Kernel:
                 hi = x
         return lo, hi
 
-    def _vertex_slot(self, s: int, only: int | None = None):
+    def _vertex_slot(self, s: int, mus: int, bases: int, vmask: int,
+                     only: int | None = None):
+        """Vertex slot s, or the boundary once every vertex is placed.
+        Rule 1's masks of the prefix come as arguments: mus holds the
+        feasible mu, bit mu + N, and vmask bit x for each vertex label x
+        placed; on the arc side bases holds bit b + N for each base b
+        placed, and is 0 on the vertex side."""
         if s == self.V:
-            self._boundary()
+            self._boundary(mus, vmask)
             return
         lo, hi = self._slot_labels(s)
         if only is not None:
             lo, hi = max(lo, only), min(hi, only)
         if self.arc_magic:
-            self._vertex_slot_arc_magic(s, lo, hi)
+            self._vertex_slot_arc_magic(s, lo, hi, mus, bases, vmask)
             return
         if self.vertex_magic:
-            self._vertex_slot_vertex_magic(s, lo, hi)
+            self._vertex_slot_vertex_magic(s, lo, hi, mus, vmask)
             return
         labels = range(lo, hi + 1)
         if self.sums is not None:
@@ -689,10 +695,8 @@ class _Kernel:
             used[lab] = True
             vl[s] = lab
             self.nodes += 1
-            self._vertex_slot(s + 1)
+            self._vertex_slot(s + 1, mus, bases, vmask)
             used[lab] = False
-            if self.stopped:
-                return
 
     def _sum_cut(self, s: int, labels) -> list:
         """Rule 2: T lies in the partial sum before s, plus coef[s] * lab,
@@ -704,7 +708,8 @@ class _Kernel:
         c, width, sums = self.coef[s], (2 << hi - lo) - 1, self.sums
         return [lab for lab in labels if sums >> base + c * lab & width]
 
-    def _vertex_slot_arc_magic(self, s: int, lo: int, hi: int):
+    def _vertex_slot_arc_magic(self, s: int, lo: int, hi: int, mus: int, bases: int,
+                               vmask: int):
         """Arc-magic slot (rule 1): an arc completed here gets a label in
         a_lo..a_hi for some mu left only if its base lies within the lowest
         mu left minus a_hi and the highest minus a_lo, which narrows lo..hi.
@@ -713,7 +718,6 @@ class _Kernel:
         mu - b in a_lo..a_hi."""
         vl, n, window = self.vl, self.N, self.arc_window
         completes = self.completes[s]
-        mus, bases, vmask = self.mus, self.bases, self.vmask
         if completes:
             blo = (mus & -mus).bit_length() - 1 - n - self.a_hi
             bhi = mus.bit_length() - 1 - n - self.a_lo
@@ -741,22 +745,17 @@ class _Kernel:
                 m &= free << b
             if not m:
                 continue
-            self.mus, self.bases, self.vmask = m, new, vmask | bit
             vl[s] = x
             self.nodes += 1
-            self._vertex_slot(s + 1)
-            if self.stopped:
-                break
-        self.mus, self.bases, self.vmask = mus, bases, vmask
+            self._vertex_slot(s + 1, m, new, vmask | bit)
 
-    def _vertex_slot_vertex_magic(self, s: int, lo: int, hi: int):
+    def _vertex_slot_vertex_magic(self, s: int, lo: int, hi: int, mus: int, vmask: int):
         """Vertex-magic slot (rule 1): label x keeps the mu left inside x
         plus vertex s's weight window and inside the bound from the
         remaining labels' sum, so lo..hi narrows to the labels whose window
         meets the lowest to highest mu left; _settle then rechecks every
         part with an arc written so far, and adds what becomes known at s."""
         vl, used, n, V = self.vl, self.used, self.N, self.V
-        mus, vmask = self.mus, self.vmask
         off_lo, off_hi = self.v_reach[s]
         rest_lo, rest_hi = self.rest[s + 1]
         placed = sum(vl[:s])
@@ -783,28 +782,23 @@ class _Kernel:
             if not m:
                 continue
             vl[s] = x
-            used[x] = True
-            self.vmask = vmask | 1 << x
+            taken = vmask | 1 << x
             if settle:
-                m = self._settle(s, m)
+                m = self._settle(s, m, taken)
                 if not m:
-                    used[x] = False
                     continue
-            self.mus = m
+            used[x] = True
             self.nodes += 1
-            self._vertex_slot(s + 1)
+            self._vertex_slot(s + 1, m, 0, taken)
             used[x] = False
-            if self.stopped:
-                break
-        self.mus, self.vmask = mus, vmask
 
-    def _settle(self, s: int, m: int) -> int:
+    def _settle(self, s: int, m: int, vmask: int) -> int:
         """m narrowed by what vertex slot s makes known (rule 1): the sum of
         a component that ends at s, and the tree arcs written at s.  Each
         mu left must leave every part with an arc written at or before s
-        some c in its mask (_part_mask), as the label of vertex s, placed
-        already, is free for no arc; the forced part is such a part like
-        any other."""
+        some c in its mask (_part_mask), as no arc may take a label of
+        vmask, the vertex labels placed up to s; the forced part is such a
+        part like any other."""
         vl, n, fq = self.vl, self.N, self.fq
         comp = self.comps[s]
         if comp:
@@ -814,7 +808,7 @@ class _Kernel:
             m &= 1 << mu + n
         for e, sign, side in self.forms[s]:
             fq[e] = -sign * sum([vl[v] for v in side])
-        parts, free = self.parts[s], self.arc_window & ~self.vmask
+        parts, free = self.parts[s], self.arc_window & ~vmask
         left = m
         while left:
             bit = left & -left
@@ -874,8 +868,9 @@ class _Kernel:
                 left ^= 1 << lab
         return mask
 
-    def _boundary(self):
-        """All vertex labels placed; set up the arc phase.
+    def _boundary(self, mus: int, vmask: int):
+        """All vertex labels placed, with rule 1's masks mus and vmask; set
+        up the arc phase.
 
         Rule 1 has settled an arc-magic target, and left a vertex-magic one
         the one mu = sum(vl) / V.  Where no part has two or more free arcs,
@@ -892,14 +887,14 @@ class _Kernel:
             f = vl[0] + max([vl[v] for v in self.mirror])
             self.weight = 1 if f == self.N + 1 else 2
         if self.arc_magic:
-            self._arcs_arc_magic()
+            self._arcs_arc_magic(mus)
             return
         if self.vertex_magic:
-            mu = self.mus.bit_length() - 1 - self.N  # the one mu rule 1 left
+            mu = mus.bit_length() - 1 - self.N  # the one mu rule 1 left
             if self.cycles is not None:
                 # no part has two or more free arcs: count the completions,
                 # and walk them only for the witnesses
-                found = self._completions(self.cycles, mu, self.arc_window & ~self.vmask)
+                found = self._completions(self.cycles, mu, self.arc_window & ~vmask)
                 if not self.cap:
                     self.count += self.weight * found
                     return
@@ -979,12 +974,12 @@ class _Kernel:
 
     # -- arc phase, arc-side targets ------------------------------------
 
-    def _arcs_arc_magic(self):
+    def _arcs_arc_magic(self, mus: int):
         """Place the arc labels mu - base, in arc order, with the one mu
-        that rule 1 left.  The mask kept them in a_lo..a_hi and distinct
-        from each other and from the vertex labels, so none is checked; a
-        digraph without arcs has no label to place."""
-        mu = self.mus.bit_length() - 1 - self.N
+        that rule 1 left in mus.  The mask kept them in a_lo..a_hi and
+        distinct from each other and from the vertex labels, so none is
+        checked; a digraph without arcs has no label to place."""
+        mu = mus.bit_length() - 1 - self.N
         al, vl = self.al, self.vl
         for k, (tail, head) in enumerate(zip(self.tails, self.heads)):
             al[k] = mu - vl[head] + vl[tail]
@@ -1028,8 +1023,6 @@ class _Kernel:
             else:
                 self._arc_slot_arc(k + 1, free ^ bit, seen | wbit,
                                    [t for t in terms if t & wbit])
-            if self.stopped:
-                return
 
     # -- arc phase, vertex-side targets ----------------------------------
 
@@ -1092,20 +1085,19 @@ class _Kernel:
             pw[ti] += lab
             pw[hi_v] -= lab
             used[lab] = False
-            if self.stopped:
-                return
 
     # -- leaves ----------------------------------------------------------
 
     def _leaf(self):
         """Every weight was checked on the way down, so the labeling is in
         the target class: count it, with the weight of rule 5 that
-        _boundary set, and keep it as a witness."""
+        _boundary set, and keep it as a witness; at the witness bound, end
+        the search."""
         self.count += self.weight
         if self.cap:
             self.wits.append(TotalLabeling(tuple(self.vl), tuple(self.al)))
             if self.count >= self.cap:
-                self.stopped = True
+                raise _WitnessBound
 
 
 def _reference(query: SearchQuery):

@@ -261,6 +261,15 @@ def pinned_searches():
 PINNED = pinned_searches()
 
 
+def witness_bound(args):
+    """The witness bound of a row's search: 1 for first-witness, the
+    --limit for collect-up-to, 0 for count-all."""
+    mode = args[args.index("--mode") + 1] if "--mode" in args else "count-all"
+    if mode == "collect-up-to":
+        return int(args[args.index("--limit") + 1])
+    return int(mode == "first-witness")
+
+
 @pytest.mark.parametrize("nodes,solutions,args",
                          [pytest.param(*row[1:], id=row[0]) for row in PINNED])
 def test_pinned_node_counts(nodes, solutions, args, capsys, monkeypatch):
@@ -269,8 +278,25 @@ def test_pinned_node_counts(nodes, solutions, args, capsys, monkeypatch):
     code = main(["search", *args])
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
-    assert (code, report["nodes_visited"], report["solutions_found"]) == \
-        (0 if solutions else 1, nodes, solutions)
+    # a search is cut short exactly when it reaches its witness bound
+    bound = witness_bound(args)
+    assert (code, report["nodes_visited"], report["solutions_found"], report["exhaustive"]) == \
+        (0 if solutions else 1, nodes, solutions, not (bound and solutions == bound))
+
+
+@pytest.mark.parametrize("mode,limit", [("first-witness", None), ("collect-up-to", 3)])
+@pytest.mark.parametrize("graph,target", [
+    (build_family("tadpole", 3, t=3), Target("arc", "magic")),
+    (build_family("tadpole", 3, t=3), Target("vertex", "magic")),
+    (build_family("cycle", 4), Target("vertex", "arithmetic")),
+], ids=["saml", "svml", "sv-al"])
+def test_kernel_runs_again_after_its_witness_bound(graph, target, mode, limit):
+    # the bound unwinds the search, leaving the labels it had placed; a
+    # second run on the same kernel starts afresh
+    kernel = _Kernel(SearchQuery(graph, target, mode=mode, limit=limit))
+    first = kernel.run()
+    assert first[3] is False and first[0] == len(first[1]) == kernel.cap
+    assert kernel.run() == first
 
 
 def test_readme_quotes_only_pinned_counts():
