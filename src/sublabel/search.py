@@ -29,6 +29,13 @@ Two enumerators produce the same results:
      each mu left gives N distinct labels in 1..N.  Their sum N(N+1)/2 is
      sum(vl) + A * mu - sum(b_i), which rises with mu, so on a digraph
      with arcs exactly one mu is left, and it forces every arc label.
+     That sum is A * mu = N(N+1)/2 - T, with T the weighted vertex label
+     sum of rule 2, and it cuts sooner: vertex label x keeps only the mu
+     whose A * mu lies in N(N+1)/2 less the partial T up to x, less T's
+     window over the vertices after it, and the slot offers only the x
+     that keep some mu between the lowest and the highest left.  Around
+     a circuit of c arcs the vertex labels cancel, so c * mu is the sum
+     of c distinct arc labels, which bounds the mu of the seed.
      On the vertex side vertex v weighs vl[v] plus its in-arc labels minus
      its out-arc labels, so mu lies in vl[v] plus its reach window; V * mu
      is the sum of the vertex labels, so it lies in the placed labels' sum
@@ -92,7 +99,8 @@ Two enumerators produce the same results:
      the prefix's partial T plus the window of the vertices still to place
      over v_lo..v_hi meets the T of a listed S.  Where that window is one
      value, as when only vertices of coefficient 0 are left, the cut is
-     exact;
+     exact.  An arc-magic target has S = A * mu, so the same window cuts
+     its vertex phase through the mu mask of rule 1;
   3. seen and term masks: on either side a weight is checked as soon as it
      is fixed.  A distinctness target cuts it if it equals a weight fixed
      before it, and a magic or arithmetic target if it is a term of no
@@ -191,7 +199,7 @@ from itertools import permutations
 from operator import mul
 
 from .digraph import Digraph, Record, set_fields
-from .labeling import TotalLabeling, Verdict, classify
+from .labeling import TotalLabeling, Verdict, classify, longest_circuit
 
 DEFAULT_CAP = 12
 
@@ -412,7 +420,8 @@ class _Kernel:
         self.above = [tuple(a) for a in above]
         # the weights of the target side sum to S = total - T on the arc
         # side and S = T on the vertex side, T = sum(coef[v] * vl[v]);
-        # rest[s] is the _window of T over the vertices s.. (rule 2), and
+        # rest[s] is the _window of T over the vertices s.. (rules 1 and 2)
+        # for every target but an antimagic one, and
         # _sum_table tables rule 2's progressions and the T they take for
         # an arithmetic target; sums is None for any other
         arc = t.side == "arc"
@@ -426,7 +435,7 @@ class _Kernel:
         self.arc_magic = t.kind == "magic" and arc
         self.vertex_magic = t.kind == "magic" and not arc
         self.rest = [_window(self.coef[s:], v_lo, v_hi) for s in range(self.V + 1)] \
-            if self.vertex_magic or t.kind == "arithmetic" else None
+            if t.kind != "antimagic" else None
         self.arc_window = sum(1 << lab for lab in range(a_lo, a_hi + 1))
         completes = [[] for _ in range(self.V)]
         if self.arc_magic:
@@ -440,6 +449,14 @@ class _Kernel:
         # label mu - b in 1..N needs mu in 2 - N..2N - 1, inside the 3N bits
         # set at first; a vertex-magic mu lies in its tables' seed.
         self.mu_seed = (1 << 3 * self.N) - 1
+        if self.arc_magic:
+            # the vertex labels cancel around a circuit of c arcs, so c * mu
+            # is the sum of c distinct labels in a_lo..a_hi, and mu lies in
+            # a_lo + (c - 1) / 2..a_hi - (c - 1) / 2: mu_bounds at 1..N
+            c = longest_circuit(g)
+            if c:
+                lo, hi = a_lo + c // 2 + self.N, a_hi - c // 2 + self.N
+                self.mu_seed = (2 << hi) - (1 << lo) if lo <= hi else 0
         if not arc:
             # vertex-side tables, fixed by the arc order; no arc-side rule
             # reads them.  window(v) is the reach window of v over its arcs
@@ -712,15 +729,18 @@ class _Kernel:
                                vmask: int):
         """Arc-magic slot (rule 1): an arc completed here gets a label in
         a_lo..a_hi for some mu left only if its base lies within the lowest
-        mu left minus a_hi and the highest minus a_lo, which narrows lo..hi.
-        Label x keeps the mu left that give no completed arc the label x
-        and, for each arc completed here with a new base b, an unused label
-        mu - b in a_lo..a_hi."""
-        vl, n, window = self.vl, self.N, self.arc_window
+        mu left minus a_hi and the highest minus a_lo, and (rule 2) A * mu
+        is N(N+1)/2 - T, with T the partial sum before s, plus coef[s] * x,
+        plus rest[s + 1]; both narrow lo..hi.  Label x keeps the mu left
+        that meet that sum, that give no completed arc the label x and, for
+        each arc completed here with a new base b, an unused label mu - b
+        in a_lo..a_hi."""
+        vl, n, window, A = self.vl, self.N, self.arc_window, self.A
+        mlo = (mus & -mus).bit_length() - 1 - n
+        mhi = mus.bit_length() - 1 - n
         completes = self.completes[s]
         if completes:
-            blo = (mus & -mus).bit_length() - 1 - n - self.a_hi
-            bhi = mus.bit_length() - 1 - n - self.a_lo
+            blo, bhi = mlo - self.a_hi, mhi - self.a_lo
             for other, sign in completes:
                 o = vl[other]
                 # sign * (x - o) in blo..bhi
@@ -729,11 +749,34 @@ class _Kernel:
                     lo = a
                 if b < hi:
                     hi = b
+        rest_lo, rest_hi = self.rest[s + 1]
+        if rest_lo > rest_hi:
+            return  # the labels after s do not fit in v_lo..v_hi
+        # A * mu lies in far - c * x..near - c * x, which must meet
+        # A * mlo..A * mhi: c * x in far - A * mhi..near - A * mlo
+        c = self.coef[s]
+        top = self.total - sum(map(mul, self.coef[:s], vl[:s]))
+        far, near = top - rest_hi, top - rest_lo
+        least, most = far - A * mhi, near - A * mlo
+        if c > 0:
+            lo, hi = max(lo, -(-least // c)), min(hi, most // c)
+        elif c < 0:
+            lo, hi = max(lo, -(-most // c)), min(hi, least // c)
+        elif least > 0 or most < 0:
+            return
         for x in range(lo, hi + 1):
             bit = 1 << x
             if vmask & bit:
                 continue
             m = mus & ~(bases << x)
+            if A:  # with no arc the sum holds for every mu
+                # mu in ceil((far - c * x) / A)..floor((near - c * x) / A),
+                # the lower end raised to mlo; the range above keeps the
+                # upper end at mlo or higher, so the mask is not negative
+                a = -((c * x - far) // A)
+                if a < mlo:
+                    a = mlo
+                m &= (2 << (near - c * x) // A + n) - (1 << a + n)
             free = window & ~(vmask | bit)
             new = bases
             for other, sign in completes:

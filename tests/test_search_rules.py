@@ -3,13 +3,15 @@
 The magic rule keeps, as a bitmask, the magic constants that the labels
 placed so far allow.  On the arc side it drops every mu that would force
 an arc label outside the label range, onto a placed label or onto another
-arc's label, which leaves exactly one mu once the vertices are placed.  On
-the vertex side each vertex keeps the mu inside its weight window and the
-bound from the remaining labels' sum, a component's last vertex fixes mu
-by the component's label sum, and the tree arcs of a spanning forest,
-written as soon as their side is placed, drop every mu that leaves some
-part no value in its label mask: the forced part, a single-free-arc part
-or a part with two or more free arcs.  Every vertex label rechecks each
+arc's label, or that the arc count times mu, N(N+1)/2 less the weighted
+vertex label sum, cannot meet with the labels still to place, which
+leaves exactly one mu once the vertices are placed; a circuit bounds the
+mu it starts from.  On the vertex side each vertex keeps the mu inside its
+weight window and the bound from the remaining labels' sum, a component's
+last vertex fixes mu by the component's label sum, and the tree arcs of a
+spanning forest, written as soon as their side is placed, drop every mu
+that leaves some part no value in its label mask: the forced part, a
+single-free-arc part or a part with two or more free arcs.  Every vertex label rechecks each
 part with an arc written so far.  Where no part has two or more
 free arcs the completions are counted from those masks: a count-all
 search adds the count, and a witness search walks the arc phase only
@@ -106,6 +108,17 @@ def examples(*cases):
     (Digraph(3, ((0, 1), (0, 2))), Target("arc", "magic")),
     (Digraph(3, ((0, 1), (1, 0), (2, 0))), Target("arc", "magic")),
     (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("vertex", "magic")),
+    # the centre of an in-star has coefficient 1 - 3 = -2 in the arc
+    # weight sum A * mu = N(N+1)/2 - T, so its label bounds T from the
+    # other side: bounded as a positive coefficient, the cut finds none of
+    # the 108 solutions
+    (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("arc", "magic")),
+    # A = 0: no arc weight, no sum to cut by, and every labeling is magic
+    (Digraph(3, ()), Target("arc", "magic")),
+    # a 2-circuit beside an isolated vertex: 2 * mu is the sum of two arc
+    # labels in 1..6, so the seed holds mu = 2..4, and the 6 solutions
+    # take mu = 2, 3 and 4, both ends of it
+    (Digraph(3, ((0, 1), (1, 0))), Target("arc", "magic")),
     # an isolated vertex beside an arc, and a 2-cycle, whose arcs both
     # close their endpoints
     (Digraph(3, ((0, 1),)), Target("vertex", "magic")),
@@ -147,6 +160,13 @@ def examples(*cases):
     # that part no label: the recheck at slot 3 cuts 19 nodes to 13
     (Digraph(4, ((0, 1), (1, 2), (2, 0))), Target("vertex", "magic")),
 )
+# the in-star's sum cut with the labels narrowed: the vertices take 1..4
+# and the arcs 5..7, or the arcs 1..3 and the vertices 4..7; 12 solutions
+# each
+@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), target=Target("arc", "magic"), strong=True,
+         strong_star=False, limit=10 ** 9, forked=True)
+@example(graph=Digraph(4, ((1, 0), (2, 0), (3, 0))), target=Target("arc", "magic"), strong=False,
+         strong_star=True, limit=10 ** 9, forked=True)
 # the arc window is the one label 1, beside an isolated vertex: the forced
 # arc's label lies further from 0 than the window is wide; 1 solution
 @example(graph=Digraph(3, ((1, 2),)), target=Target("vertex", "magic"), strong=False,
