@@ -56,8 +56,7 @@ class Record:
     through the instance __dict__.  Two records are equal when they are of
     one class and their fields are equal; the hash and the repr are those
     of the same fields, as a frozen dataclass gives them, and assigning or
-    deleting an attribute raises AttributeError.  A mutable subclass puts
-    back object's __setattr__ and __delattr__ and sets __hash__ to None.
+    deleting an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()

@@ -15,35 +15,44 @@ Two enumerators produce the same results:
   greatest mirroring the least.  The reach window of a vertex
   is that of its arcs still open, +1 for an in-arc and -1 for an out-arc,
   over the arc labels a_lo..a_hi: how far its weight can still move.
-  Magic targets are settled while the vertex labels are placed:
+  The vertex labels fix the sum S of the target side's k weights, k
+  being A on the arc side and V on the vertex side, as
+  S = s0 + sum(coef[v] * vl[v]), whatever the arc labels.  Arc i
+  weighs its label plus its base b_i = vl[head] - vl[tail], and the arc
+  labels sum to N(N+1)/2 - sum(vl), so on the arc side s0 = N(N+1)/2 and
+  coef[v] = in(v) - out(v) - 1; on the vertex side the arcs add to one
+  vertex weight what they take from another, so s0 = 0 and coef[v] = 1.
+  The vertex phase carries S's prefix, s0 plus the terms of the vertices
+  placed, and rest[s], the window of coef over the vertices s.. in
+  v_lo..v_hi, bounds what the vertices still to place add to it.  Magic
+  targets are settled while the vertex labels are placed:
 
   1. magic constant: the vertex phase keeps the set of mu that the labels
      placed so far allow, as a bitmask, and cuts a prefix with no mu left.
-     On the arc side arc i must get the label mu - b_i, where
-     b_i = vl[head] - vl[tail] is its base, fixed once its second endpoint
-     is placed.  A vertex label drops each mu that would give a completed
-     arc that label, and an arc completed at a slot drops each mu that
-     puts its label outside the arc label range or on a vertex label, or
-     every mu if its base repeats an earlier one (the forced labels are
-     distinct).  Once the vertices are placed every arc is completed, and
-     each mu left gives N distinct labels in 1..N.  Their sum N(N+1)/2 is
-     sum(vl) + A * mu - sum(b_i), which rises with mu, so on a digraph
-     with arcs exactly one mu is left, and it forces every arc label.
-     That sum is A * mu = N(N+1)/2 - T, with T the weighted vertex label
-     sum of rule 2, and it cuts sooner: vertex label x keeps only the mu
-     whose A * mu lies in N(N+1)/2 less the partial T up to x, less T's
-     window over the vertices after it, and the slot offers only the x
-     that keep some mu between the lowest and the highest left.  Around
-     a circuit of c arcs the vertex labels cancel, so c * mu is the sum
-     of c distinct arc labels, which bounds the mu of the seed.
-     On the vertex side vertex v weighs vl[v] plus its in-arc labels minus
-     its out-arc labels, so mu lies in vl[v] plus its reach window; V * mu
-     is the sum of the vertex labels, so it lies in the placed labels' sum
-     plus the window of the labels still to place, which fixes mu at the
-     last slot; and a weakly connected component's arcs add to its weight
-     sum what they take from it, so mu is its label sum over its size.  A
-     spanning forest grown in arc order writes each tree arc's label as
-     +-sum(mu - vl[v]) over the side of the arc that lacks its
+     As k * mu = S, vertex label x at slot s keeps only the mu whose
+     k * mu lies in S's prefix plus coef[s] * x plus rest[s + 1], and the
+     slot offers only the x that keep some mu between the lowest and the
+     highest left.  Once the vertices are placed S is known, and on a
+     side with k > 0 it leaves at most one mu.  The seed holds the mu
+     whose k * mu lies in s0 plus rest[0], inside the side's own window:
+     on the arc side every arc label mu - b in 1..N puts mu in
+     2 - N..2N - 1, and around a circuit of c arcs the vertex labels
+     cancel, so c * mu is the sum of c distinct labels in a_lo..a_hi; on
+     the vertex side vertex v weighs vl[v] plus its in-arc labels minus
+     its out-arc labels, so mu lies in its label range plus its reach
+     window.
+     On the arc side arc i must get the label mu - b_i, its base fixed
+     once its second endpoint is placed.  A vertex label drops each mu
+     that would give a completed arc that label, and an arc completed at
+     a slot drops each mu that puts its label outside the arc label range
+     or on a vertex label, or every mu if its base repeats an earlier one
+     (the forced labels are distinct).  So the one mu left after the
+     vertex phase gives N distinct labels in 1..N, and forces every arc
+     label.
+     On the vertex side a weakly connected component's arcs add to its
+     weight sum what they take from it, so mu is its label sum over its
+     size.  A spanning forest grown in arc order writes each tree arc's
+     label as +-sum(mu - vl[v]) over the side of the arc that lacks its
      component's last vertex, plus a signed sum of the arcs outside the
      forest, its free part; the form is known once that side is placed.
      So tree arc e gets the label k_e + c, with k_e fixed by mu and c
@@ -71,13 +80,9 @@ Two enumerators produce the same results:
      vertex-phase nodes only; a witness search walks the arc phase below a
      vertex prefix only if the count there is not 0.
 
-  After the vertex phase the weight sum S of the target side's k weights
-  is fixed: sum(vl) on the vertex side, and on the arc side, where the arc
-  labels sum to N(N+1)/2 - sum(vl) and arc i weighs its label plus b_i,
-  S = N(N+1)/2 - sum((1 - in(v) + out(v)) * vl[v]) on every digraph.  A
-  side with fewer than two weights is magic, so a distinctness target
-  there has no solution.  The arc phase then keeps the weights inside the
-  candidate progressions:
+  After the vertex phase S is fixed.  A side with fewer than two weights
+  is magic, so a distinctness target there has no solution.  The arc
+  phase then keeps the weights inside the candidate progressions:
 
   2. progression candidates: a magic target's weights form the one-term
      progression mu..mu, with mu = S / k.  An arithmetic target's can only
@@ -92,15 +97,10 @@ Two enumerators produce the same results:
      the listed ones of the fixed S inside it.  Each weight of an
      arithmetic target drops, once it is fixed, the candidates it is not
      a term of, and a branch with none left is cut.  The vertex phase
-     already cuts a prefix that can reach no listed S.  S is N(N+1)/2 - T
-     on the arc side and T on the vertex side, with
-     T = sum(coef[v] * vl[v]), coef[v] = 1 - in(v) + out(v) on the arc
-     side and 1 on the vertex side, and a vertex label is placed only if
-     the prefix's partial T plus the window of the vertices still to place
-     over v_lo..v_hi meets the T of a listed S.  Where that window is one
-     value, as when only vertices of coefficient 0 are left, the cut is
-     exact.  An arc-magic target has S = A * mu, so the same window cuts
-     its vertex phase through the mu mask of rule 1;
+     already cuts a prefix that can reach no listed S: vertex label x is
+     placed at slot s only if S's prefix plus coef[s] * x plus
+     rest[s + 1] meets a listed S.  Where rest[s + 1] is one value, as
+     when only vertices of coefficient 0 are left, the cut is exact;
   3. seen and term masks: on either side a weight is checked as soon as it
      is fixed.  A distinctness target cuts it if it equals a weight fixed
      before it, and a magic or arithmetic target if it is a term of no
@@ -196,7 +196,6 @@ from __future__ import annotations
 import os
 import time
 from itertools import permutations
-from operator import mul
 
 from .digraph import Digraph, Record, set_fields
 from .labeling import TotalLabeling, Verdict, classify, longest_circuit
@@ -293,27 +292,19 @@ class SearchReport(Record):
     other search.  `dual` is true iff such a search also left out the dual
     orbits (rule 5): its count is then `automorphisms` times the canonical
     labelings kept, most of them counted twice.  Every field but `elapsed`
-    is the same at any worker count.  A report can be changed in place and
-    has no hash.
+    is the same at any worker count.
     """
 
     _fields = ("query", "exhaustive", "solutions_found", "witnesses", "nodes_visited",
                "automorphisms", "dual", "elapsed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, query: SearchQuery, exhaustive: bool, solutions_found: int,
                  witnesses: list[TotalLabeling], nodes_visited: int, automorphisms: int,
                  dual: bool, elapsed: float):
-        self.query = query
-        self.exhaustive = exhaustive
-        self.solutions_found = solutions_found
-        self.witnesses = witnesses
-        self.nodes_visited = nodes_visited
-        self.automorphisms = automorphisms
-        self.dual = dual
-        self.elapsed = elapsed
+        self.__dict__.update(query=query, exhaustive=exhaustive,
+                             solutions_found=solutions_found, witnesses=witnesses,
+                             nodes_visited=nodes_visited, automorphisms=automorphisms,
+                             dual=dual, elapsed=elapsed)
 
     def to_dict(self) -> dict:
         g = self.query.graph
@@ -371,7 +362,7 @@ class _Kernel:
 
     # slots keep attribute access in the inner loops fast however many
     # attributes the rules add
-    __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "total",
+    __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "s0",
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
                  "completes", "arc_window", "coef", "closes", "reach",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
@@ -389,7 +380,6 @@ class _Kernel:
         self.tails = [t for t, _ in g.arcs]
         self.heads = [h for _, h in g.arcs]
         in_deg, out_deg = g.in_degrees(), g.out_degrees()
-        self.total = self.N * (self.N + 1) // 2
         # label domains, narrowed by the strong flags
         v_lo, v_hi, a_lo, a_hi = 1, self.N, 1, self.N
         if query.require_strong:
@@ -418,14 +408,14 @@ class _Kernel:
                     and (t.side == "arc" or in_deg == out_deg):
                 self.mirror = base[0][1] if base and base[0][0] == 0 else (0,)
         self.above = [tuple(a) for a in above]
-        # the weights of the target side sum to S = total - T on the arc
-        # side and S = T on the vertex side, T = sum(coef[v] * vl[v]);
-        # rest[s] is the _window of T over the vertices s.. (rules 1 and 2)
-        # for every target but an antimagic one, and
-        # _sum_table tables rule 2's progressions and the T they take for
+        # the weights of the target side sum to S = s0 + sum(coef[v] *
+        # vl[v]); rest[s] is the _window of coef over the vertices s..
+        # (rules 1 and 2) for every target but an antimagic one, and
+        # _sum_table tables rule 2's progressions and the S they take for
         # an arithmetic target; sums is None for any other
         arc = t.side == "arc"
-        self.coef = [1 - in_deg[v] + out_deg[v] if arc else 1 for v in range(self.V)]
+        self.s0 = self.N * (self.N + 1) // 2 if arc else 0
+        self.coef = [in_deg[v] - out_deg[v] - 1 if arc else 1 for v in range(self.V)]
         self.sums = None
         # rule 1 for magic targets.  completes[s] lists, as (other
         # endpoint, sign), the arcs whose second endpoint is vertex s; the
@@ -445,18 +435,6 @@ class _Kernel:
                 else:
                     completes[tail].append((head, -1))
         self.completes = [tuple(c) for c in completes]
-        # bit mu + N of the mask is set while mu is feasible.  A forced arc
-        # label mu - b in 1..N needs mu in 2 - N..2N - 1, inside the 3N bits
-        # set at first; a vertex-magic mu lies in its tables' seed.
-        self.mu_seed = (1 << 3 * self.N) - 1
-        if self.arc_magic:
-            # the vertex labels cancel around a circuit of c arcs, so c * mu
-            # is the sum of c distinct labels in a_lo..a_hi, and mu lies in
-            # a_lo + (c - 1) / 2..a_hi - (c - 1) / 2: mu_bounds at 1..N
-            c = longest_circuit(g)
-            if c:
-                lo, hi = a_lo + c // 2 + self.N, a_hi - c // 2 + self.N
-                self.mu_seed = (2 << hi) - (1 << lo) if lo <= hi else 0
         if not arc:
             # vertex-side tables, fixed by the arc order; no arc-side rule
             # reads them.  window(v) is the reach window of v over its arcs
@@ -482,7 +460,29 @@ class _Kernel:
                 self.closes.append(() if t.kind == "magic" else
                                    tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
                 self.reach.append(window(tail) + window(head))
-        if self.vertex_magic and self.V:
+        # rule 1's seed: bit mu + N is set for each mu that both k * mu in
+        # s0 + rest[0] and the side's own window allow.  On the arc side a
+        # forced label mu - b in 1..N needs mu in 2 - N..2N - 1, and the
+        # vertex labels cancel around a circuit of c arcs, so c * mu is the
+        # sum of c distinct labels in a_lo..a_hi: mu lies in
+        # a_lo + (c - 1) / 2..a_hi - (c - 1) / 2, mu_bounds at 1..N.  On
+        # the vertex side mu lies in each vertex's label range plus its
+        # reach window.  A target with no magic constant carries the mask
+        # unread, nonzero so that run() starts the vertex phase.
+        self.mu_seed = 1
+        if t.kind == "magic":
+            if arc:
+                c = longest_circuit(g)
+                lo, hi = (a_lo + c // 2, a_hi - c // 2) if c else (2 - self.N, 2 * self.N - 1)
+            else:
+                lo = max([v_lo + w[0] for w in self.v_reach], default=v_lo)
+                hi = min([v_hi + w[1] for w in self.v_reach], default=v_hi)
+            k = self.A if arc else self.V
+            if k:
+                s_lo, s_hi = self.rest[0]
+                lo, hi = max(lo, -(-(self.s0 + s_lo) // k)), min(hi, (self.s0 + s_hi) // k)
+            self.mu_seed = (2 << hi + self.N) - (1 << lo + self.N) if lo <= hi else 0
+        if self.vertex_magic and self.mu_seed:
             self._vertex_magic_tables(g)
         if t.kind == "arithmetic":
             self._sum_table()
@@ -493,15 +493,15 @@ class _Kernel:
         lo..hi is the widest range of rule 2, and progs maps each weight sum
         S to the progressions (a, d, top) with the pinned a and d whose k
         terms lie in lo..hi, by rising d; _boundary keeps those inside the
-        range its vertex labels allow.  off is the least T for labels in
-        v_lo..v_hi, each vertex taken alone, so it is at most the partial
-        sum of a vertex prefix plus the least of rest after it; sums has bit
-        T - off set for each T from off up whose S is a key of progs.  Those
-        above the greatest T are kept, as no window reaches them.
+        range its vertex labels allow.  off is the least S for labels in
+        v_lo..v_hi, each vertex taken alone, so it is at most S's prefix
+        plus the least of rest after it; sums has bit S - off set for each
+        key S of progs from off up.  Those above the greatest S are kept,
+        as no window reaches them.
         """
         t, v_lo, v_hi = self.target, self.v_lo, self.v_hi
         arc = t.side == "arc"
-        self.off = off = sum([min(c * v_lo, c * v_hi) for c in self.coef])
+        self.off = off = self.s0 + sum([min(c * v_lo, c * v_hi) for c in self.coef])
         k = self.A if arc else self.V
         self.progs = progs = {}
         if k >= 2:  # a side of fewer than two weights is magic
@@ -516,14 +516,12 @@ class _Kernel:
                     a0, a1 = max(a0, t.a), min(a1, t.a)
                 for a in range(a0, a1 + 1):
                     progs.setdefault(k * a + d * half, []).append((a, d, a + (k - 1) * d))
-        ts = [(self.total - s if arc else s) - off for s in progs]
-        self.sums = sum([1 << x for x in ts if x >= 0])  # distinct S, distinct bits
+        self.sums = sum([1 << s - off for s in progs if s >= off])  # distinct S, distinct bits
 
     def _vertex_magic_tables(self, g: Digraph):
-        """Rule 1 tables of a vertex-magic target, none past the mu seed if
-        it is empty, as then the search visits no node.
+        """Rule 1 tables of a vertex-magic target, built only if the mu
+        seed is not empty, as else the search visits no node.
 
-        The V - 1 - s vertex labels after slot s sum to rest[s + 1].
         comps[s] holds the weakly connected component whose last vertex is
         s, else (); the one that ends at V - 1 is left out, as V * mu and
         the others' sums fix its sum.
@@ -548,14 +546,7 @@ class _Kernel:
         in full, when no part has two or more free arcs (as on a cactus),
         else None.
         """
-        V, n, arcs = self.V, self.N, g.arcs
-        # seed: mu inside every vertex's label range plus its reach window
-        # v_reach[s], and V * mu a sum of V labels
-        lo = max([-(-self.rest[0][0] // V)] + [self.v_lo + w[0] for w in self.v_reach])
-        hi = min([self.rest[0][1] // V] + [self.v_hi + w[1] for w in self.v_reach])
-        self.mu_seed = (2 << hi + n) - (1 << lo + n) if lo <= hi else 0
-        if not self.mu_seed:
-            return
+        V, arcs = self.V, g.arcs
         root = list(range(V))
 
         def find(v):
@@ -654,7 +645,7 @@ class _Kernel:
         try:
             if self.V:
                 if self.mu_seed:
-                    self._vertex_slot(0, self.mu_seed, 0, 0, first_label)
+                    self._vertex_slot(0, self.mu_seed, 0, 0, self.s0, first_label)
             elif self.target.kind == "magic":
                 self._leaf()  # the empty labeling: no weights, vacuously magic
         except _WitnessBound:
@@ -683,58 +674,59 @@ class _Kernel:
                 hi = x
         return lo, hi
 
-    def _vertex_slot(self, s: int, mus: int, bases: int, vmask: int,
+    def _vertex_slot(self, s: int, mus: int, bases: int, vmask: int, S: int,
                      only: int | None = None):
         """Vertex slot s, or the boundary once every vertex is placed.
-        Rule 1's masks of the prefix come as arguments: mus holds the
-        feasible mu, bit mu + N, and vmask bit x for each vertex label x
-        placed; on the arc side bases holds bit b + N for each base b
-        placed, and is 0 on the vertex side."""
+        The prefix's state comes as arguments: mus holds rule 1's feasible
+        mu, bit mu + N, vmask bit x for each vertex label x placed, and S
+        the prefix of the weight sum, s0 plus coef[v] * vl[v] over the
+        vertices placed; bases holds bit b + N for each base b placed on
+        an arc-magic target, and is 0 on any other."""
         if s == self.V:
-            self._boundary(mus, vmask)
+            self._boundary(mus, vmask, S)
             return
         lo, hi = self._slot_labels(s)
         if only is not None:
             lo, hi = max(lo, only), min(hi, only)
         if self.arc_magic:
-            self._vertex_slot_arc_magic(s, lo, hi, mus, bases, vmask)
+            self._vertex_slot_arc_magic(s, lo, hi, mus, bases, vmask, S)
             return
         if self.vertex_magic:
-            self._vertex_slot_vertex_magic(s, lo, hi, mus, vmask)
+            self._vertex_slot_vertex_magic(s, lo, hi, mus, vmask, S)
             return
         labels = range(lo, hi + 1)
         if self.sums is not None:
-            labels = self._sum_cut(s, labels)
-        vl, used = self.vl, self.used
+            labels = self._sum_cut(s, S, labels)
+        vl, c = self.vl, self.coef[s]
         for lab in labels:
-            if used[lab]:
+            bit = 1 << lab
+            if vmask & bit:
                 continue
-            used[lab] = True
             vl[s] = lab
             self.nodes += 1
-            self._vertex_slot(s + 1, mus, bases, vmask)
-            used[lab] = False
+            self._vertex_slot(s + 1, mus, bases, vmask | bit, S + c * lab)
 
-    def _sum_cut(self, s: int, labels) -> list:
-        """Rule 2: T lies in the partial sum before s, plus coef[s] * lab,
-        plus rest[s + 1]; the labels whose window meets a bit of sums."""
+    def _sum_cut(self, s: int, S: int, labels) -> list:
+        """Rule 2: the weight sum lies in its prefix S before s, plus
+        coef[s] * lab, plus rest[s + 1]; the labels whose window meets a
+        bit of sums."""
         lo, hi = self.rest[s + 1]
         if lo > hi:
             return []  # the labels after s do not fit in v_lo..v_hi
-        base = sum(map(mul, self.coef[:s], self.vl[:s])) + lo - self.off
+        base = S + lo - self.off
         c, width, sums = self.coef[s], (2 << hi - lo) - 1, self.sums
         return [lab for lab in labels if sums >> base + c * lab & width]
 
     def _vertex_slot_arc_magic(self, s: int, lo: int, hi: int, mus: int, bases: int,
-                               vmask: int):
+                               vmask: int, S: int):
         """Arc-magic slot (rule 1): an arc completed here gets a label in
         a_lo..a_hi for some mu left only if its base lies within the lowest
-        mu left minus a_hi and the highest minus a_lo, and (rule 2) A * mu
-        is N(N+1)/2 - T, with T the partial sum before s, plus coef[s] * x,
-        plus rest[s + 1]; both narrow lo..hi.  Label x keeps the mu left
-        that meet that sum, that give no completed arc the label x and, for
-        each arc completed here with a new base b, an unused label mu - b
-        in a_lo..a_hi."""
+        mu left minus a_hi and the highest minus a_lo, and A * mu lies in
+        S, the prefix of the weight sum before s, plus coef[s] * x, plus
+        rest[s + 1]; both narrow lo..hi.  Label x keeps the mu left that
+        meet that sum, that give no completed arc the label x and, for each
+        arc completed here with a new base b, an unused label mu - b in
+        a_lo..a_hi."""
         vl, n, window, A = self.vl, self.N, self.arc_window, self.A
         mlo = (mus & -mus).bit_length() - 1 - n
         mhi = mus.bit_length() - 1 - n
@@ -752,12 +744,11 @@ class _Kernel:
         rest_lo, rest_hi = self.rest[s + 1]
         if rest_lo > rest_hi:
             return  # the labels after s do not fit in v_lo..v_hi
-        # A * mu lies in far - c * x..near - c * x, which must meet
-        # A * mlo..A * mhi: c * x in far - A * mhi..near - A * mlo
+        # A * mu lies in s_lo + c * x..s_hi + c * x, which must meet
+        # A * mlo..A * mhi: c * x in A * mlo - s_hi..A * mhi - s_lo
         c = self.coef[s]
-        top = self.total - sum(map(mul, self.coef[:s], vl[:s]))
-        far, near = top - rest_hi, top - rest_lo
-        least, most = far - A * mhi, near - A * mlo
+        s_lo, s_hi = S + rest_lo, S + rest_hi
+        least, most = A * mlo - s_hi, A * mhi - s_lo
         if c > 0:
             lo, hi = max(lo, -(-least // c)), min(hi, most // c)
         elif c < 0:
@@ -770,13 +761,13 @@ class _Kernel:
                 continue
             m = mus & ~(bases << x)
             if A:  # with no arc the sum holds for every mu
-                # mu in ceil((far - c * x) / A)..floor((near - c * x) / A),
+                # mu in ceil((s_lo + c * x) / A)..floor((s_hi + c * x) / A),
                 # the lower end raised to mlo; the range above keeps the
                 # upper end at mlo or higher, so the mask is not negative
-                a = -((c * x - far) // A)
+                a = -(-(s_lo + c * x) // A)
                 if a < mlo:
                     a = mlo
-                m &= (2 << (near - c * x) // A + n) - (1 << a + n)
+                m &= (2 << (s_hi + c * x) // A + n) - (1 << a + n)
             free = window & ~(vmask | bit)
             new = bases
             for other, sign in completes:
@@ -790,33 +781,36 @@ class _Kernel:
                 continue
             vl[s] = x
             self.nodes += 1
-            self._vertex_slot(s + 1, m, new, vmask | bit)
+            self._vertex_slot(s + 1, m, new, vmask | bit, S + c * x)
 
-    def _vertex_slot_vertex_magic(self, s: int, lo: int, hi: int, mus: int, vmask: int):
+    def _vertex_slot_vertex_magic(self, s: int, lo: int, hi: int, mus: int, vmask: int,
+                                  S: int):
         """Vertex-magic slot (rule 1): label x keeps the mu left inside x
-        plus vertex s's weight window and inside the bound from the
-        remaining labels' sum, so lo..hi narrows to the labels whose window
-        meets the lowest to highest mu left; _settle then rechecks every
-        part with an arc written so far, and adds what becomes known at s."""
-        vl, used, n, V = self.vl, self.used, self.N, self.V
+        plus vertex s's weight window and whose V * mu lies in S, the
+        prefix of the weight sum before s, plus x, plus rest[s + 1], so
+        lo..hi narrows to the labels whose window meets the lowest to
+        highest mu left; _settle then rechecks every part with an arc
+        written so far, and adds what becomes known at s."""
+        vl, n, V = self.vl, self.N, self.V
         off_lo, off_hi = self.v_reach[s]
         rest_lo, rest_hi = self.rest[s + 1]
-        placed = sum(vl[:s])
+        s_lo, s_hi = S + rest_lo, S + rest_hi
         mlo = (mus & -mus).bit_length() - 1 - n
         mhi = mus.bit_length() - 1 - n
-        lo = max(lo, mlo - off_hi, V * mlo - placed - rest_hi)
-        hi = min(hi, mhi - off_lo, V * mhi - placed - rest_lo)
+        lo = max(lo, mlo - off_hi, V * mlo - s_hi)
+        hi = min(hi, mhi - off_lo, V * mhi - s_lo)
         settle = self.parts[s] or self.comps[s]
         for x in range(lo, hi + 1):
-            if used[x]:
+            bit = 1 << x
+            if vmask & bit:
                 continue
             # mlo >= 1, as the labels sum to at least 1; unrolled: max() and
             # min() cost more
             mlo, mhi = x + off_lo, x + off_hi
-            a = -(-(placed + x + rest_lo) // V)
+            a = -(-(s_lo + x) // V)
             if a > mlo:
                 mlo = a
-            a = (placed + x + rest_hi) // V
+            a = (s_hi + x) // V
             if a < mhi:
                 mhi = a
             if mlo > mhi:
@@ -825,15 +819,13 @@ class _Kernel:
             if not m:
                 continue
             vl[s] = x
-            taken = vmask | 1 << x
+            taken = vmask | bit
             if settle:
                 m = self._settle(s, m, taken)
                 if not m:
                     continue
-            used[x] = True
             self.nodes += 1
-            self._vertex_slot(s + 1, m, 0, taken)
-            used[x] = False
+            self._vertex_slot(s + 1, m, 0, taken, S + x)
 
     def _settle(self, s: int, m: int, vmask: int) -> int:
         """m narrowed by what vertex slot s makes known (rule 1): the sum of
@@ -911,18 +903,18 @@ class _Kernel:
                 left ^= 1 << lab
         return mask
 
-    def _boundary(self, mus: int, vmask: int):
-        """All vertex labels placed, with rule 1's masks mus and vmask; set
-        up the arc phase.
+    def _boundary(self, mus: int, vmask: int, S: int):
+        """All vertex labels placed, with rule 1's masks mus and vmask and
+        the weight sum S; set up the arc phase.
 
         Rule 1 has settled an arc-magic target, and left a vertex-magic one
-        the one mu = sum(vl) / V.  Where no part has two or more free arcs,
-        the vertex-magic completions are counted from the masks of rule 1:
-        a count-all search adds them, and a witness search walks the arc
-        phase only where there is one.  For any other the weight sum S of the
-        target side is now fixed, and with it the candidate progressions
-        (a, d, top): the one-term span (mu, 0, mu) of a vertex-magic target,
-        those of rule 2 for an arithmetic target, None for an antimagic one.
+        the one mu = S / V.  Where no part has two or more free arcs, the
+        vertex-magic completions are counted from the masks of rule 1: a
+        count-all search adds them, and a witness search walks the arc
+        phase only where there is one.  For any other S fixes the candidate
+        progressions (a, d, top): the one-term span (mu, 0, mu) of a
+        vertex-magic target, those of rule 2 for an arithmetic target, None
+        for an antimagic one.
         """
         vl = self.vl
         if self.mirror:
@@ -952,26 +944,20 @@ class _Kernel:
         if t.kind == "magic":
             cands = [(mu, 0, mu)]
         elif t.kind == "arithmetic":
-            # on the vertex side the arcs add to one vertex weight what they
-            # take from another
-            s = self.total - sum(map(mul, self.coef, vl)) if arc else sum(vl)
             if arc:
                 bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
                 lo, hi = self.a_lo + min(bases), self.a_hi + max(bases)
             else:
                 lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach))
                 hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach))
-            cands = [c for c in self.progs.get(s, ()) if c[0] >= lo and c[2] <= hi]
+            cands = [c for c in self.progs.get(S, ()) if c[0] >= lo and c[2] <= hi]
             if not cands:
                 return
         if arc:
             # bit w + N stands for arc weight w >= 2 - N; each candidate
             # becomes the mask of its k terms, a repunit of period d
-            n, free = self.N, self.arc_window
-            for x in vl:
-                free &= ~(1 << x)
-            terms = None if cands is None else [_terms(k, a, d, n) for a, d, _ in cands]
-            self._arc_slot_arc(0, free, 0, terms)
+            terms = None if cands is None else [_terms(k, a, d, self.N) for a, d, _ in cands]
+            self._arc_slot_arc(0, self.arc_window & ~vmask, 0, terms)
             return
         # bit w + w_off stands for vertex weight w; each candidate becomes
         # (term mask, a, top).  Vertex-side targets track partial vertex
@@ -988,7 +974,13 @@ class _Kernel:
                 if not cands:
                     return
             seen |= bit
+        # the arc loop reads the vertex labels from used
+        used = self.used
+        for x in vl:
+            used[x] = True
         self._arc_slot_vertex(0, cands, seen)
+        for x in vl:
+            used[x] = False
 
     def _completions(self, parts: tuple, mu: int, free: int) -> int:
         """The number of ways to label the arcs of parts, the forced part and

@@ -116,14 +116,18 @@ def test_unhashable_document_classification_stays_unhashable():
         hash(doc)
 
 
-def test_search_report_is_mutable_and_unhashable():
-    report = SearchReport(QUERY, True, 1, [LABELING], 4, 1, False, 0.5)
+def test_search_report_refuses_assignment_and_hash():
+    # frozen like the other records; its witness list has no hash
+    report, same = (SearchReport(QUERY, True, 1, [LABELING], 4, 1, False, 0.5)
+                    for _ in range(2))
     with pytest.raises(TypeError):
         hash(report)
-    report.nodes_visited = 5
-    report.witnesses.append(LABELING)
-    assert report.nodes_visited == 5 and len(report.witnesses) == 2
-    assert report == SearchReport(QUERY, True, 1, [LABELING, LABELING], 5, 1, False, 0.5)
+    for f in SearchReport._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, f, getattr(same, f))
+        with pytest.raises(AttributeError):
+            delattr(report, f)
+    assert report == same
 
 
 def test_family_tag_names_stay_outside_equality_hash_and_repr():

@@ -2,20 +2,20 @@
 
 The magic rule keeps, as a bitmask, the magic constants that the labels
 placed so far allow.  On the arc side it drops every mu that would force
-an arc label outside the label range, onto a placed label or onto another
-arc's label, or that the arc count times mu, N(N+1)/2 less the weighted
-vertex label sum, cannot meet with the labels still to place, which
-leaves exactly one mu once the vertices are placed; a circuit bounds the
-mu it starts from.  On the vertex side each vertex keeps the mu inside its
-weight window and the bound from the remaining labels' sum, a component's
-last vertex fixes mu by the component's label sum, and the tree arcs of a
-spanning forest, written as soon as their side is placed, drop every mu
-that leaves some part no value in its label mask: the forced part, a
-single-free-arc part or a part with two or more free arcs.  Every vertex label rechecks each
-part with an arc written so far.  Where no part has two or more
-free arcs the completions are counted from those masks: a count-all
-search adds the count, and a witness search walks the arc phase only
-below a vertex prefix whose count is not 0.  Distinctness
+an arc label outside the label range, onto a placed label or onto
+another arc's label, or that the arc count times mu, the arc weight sum,
+cannot meet with the labels still to place, which leaves exactly one mu
+once the vertices are placed; a circuit bounds the mu it starts from.
+On the vertex side each vertex keeps the mu inside its weight window and
+the bound from the remaining labels' sum, a component's last vertex
+fixes mu by the component's label sum, and the tree arcs of a spanning
+forest, written as soon as their side is placed, drop every mu that
+leaves some part no value in its label mask: the forced part, a
+single-free-arc part or a part with two or more free arcs.  Every vertex
+label rechecks each part with an arc written so far.  Where no part has
+two or more free arcs the completions are counted from those masks: a
+count-all search adds the count, and a witness search walks the arc
+phase only below a vertex prefix whose count is not 0.  Distinctness
 targets cut duplicate weights as soon as they are fixed.  An arithmetic
 target cuts a vertex prefix whose weight sum, bounded over the labels
 still to place, no progression can take, and in the arc phase keeps only
@@ -24,8 +24,10 @@ weight is a term of.  Both sides check each new weight against a
 seen-weight mask and the candidates' term masks.  On the vertex side
 magic and arithmetic targets also keep each vertex able to reach the
 widest candidate progression, the one term mu for a magic target.  The
-pruned kernel must agree with the reference enumerator on random digraphs
-for every target kind, and the node counts of the searches in
+weight sum and the vertex-label mask that the vertex phase carries down
+are checked against the labels placed at every boundary.  The pruned
+kernel must agree with the reference enumerator on random digraphs for
+every target kind, and the node counts of the searches in
 tests/pinned_searches.txt are pinned so that any change to the rules
 shows."""
 
@@ -108,10 +110,11 @@ def examples(*cases):
     (Digraph(3, ((0, 1), (0, 2))), Target("arc", "magic")),
     (Digraph(3, ((0, 1), (1, 0), (2, 0))), Target("arc", "magic")),
     (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("vertex", "magic")),
-    # the centre of an in-star has coefficient 1 - 3 = -2 in the arc
-    # weight sum A * mu = N(N+1)/2 - T, so its label bounds T from the
-    # other side: bounded as a positive coefficient, the cut finds none of
-    # the 108 solutions
+    # the centre of an in-star has coefficient 3 - 0 - 1 = +2 in the arc
+    # weight sum S = N(N+1)/2 + sum((in - out - 1) * label) = A * mu, and
+    # each leaf 0 - 1 - 1 = -2, which bounds S from the other side:
+    # bounded as positive coefficients, the cut finds none of the 108
+    # solutions
     (Digraph(4, ((1, 0), (2, 0), (3, 0))), Target("arc", "magic")),
     # A = 0: no arc weight, no sum to cut by, and every labeling is magic
     (Digraph(3, ()), Target("arc", "magic")),
@@ -245,6 +248,43 @@ def test_magic_rules_match_reference(graph, target, strong, strong_star, limit, 
         # an explicit example below its witness bound: the oracle's own
         # count-all search checks the count
         assert split.solutions_found == search(count_all, pruned=False).solutions_found
+
+
+class CheckedKernel(_Kernel):
+    """A kernel that checks, at every boundary, the state that the vertex
+    phase carries down against the vertex labels placed."""
+
+    def _boundary(self, mus, vmask, S):
+        g, vl = self.query.graph, self.vl
+        if self.target.side == "arc":
+            # the arc labels sum to N(N+1)/2 - sum(vl), and each arc adds
+            # its base vl[head] - vl[tail] to its label
+            n = g.label_count
+            weights = n * (n + 1) // 2 - sum(vl) + sum(vl[h] - vl[t] for t, h in g.arcs)
+        else:
+            weights = sum(vl)  # the arcs add to one vertex what they take from another
+        mask = 0
+        for x in vl:
+            mask |= 1 << x
+        assert (S, vmask) == (weights, mask)
+        self.boundaries += 1
+        super()._boundary(mus, vmask, S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_digraphs(),
+       target=targets(),
+       strong=st.booleans(),
+       strong_star=st.booleans(),
+       mode=st.sampled_from(("count-all", "first-witness")))
+def test_vertex_phase_carries_the_weight_sum_and_the_label_mask(graph, target, strong,
+                                                                strong_star, mode):
+    kernel = CheckedKernel(SearchQuery(graph, target, require_strong=strong,
+                                       require_strong_star=strong_star, mode=mode))
+    kernel.boundaries = 0
+    count, *_ = kernel.run()
+    # every solution lies below a boundary, so the check ran where one exists
+    assert kernel.boundaries or not count
 
 
 @settings(max_examples=200, deadline=None)
