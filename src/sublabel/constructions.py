@@ -1,21 +1,9 @@
 """Explicit labelings for the graph families.  Each result is one row of
 _CONSTRUCTIONS, built by construct(family, n, kind) as (digraph, labeling),
-where the labeling lands in a known weight class:
-
-* path:       saml  -> alternating orientation, arc-magic with mu = n
-              sa-al -> forward, arc weights n+2 .. 2n (difference 1)
-              sv-al -> forward, vertex weights n .. 2n-1
-* cycle:      sa-sv-al -> arc weights n+1..2n and vertex weights 1..n at once
-* star:       saml  -> out, arc-magic with mu = 2(n+1)
-              sa-al -> in, arc weights 2n+2, 2n+4, .., 4n (difference 2)
-              sval  -> in, vertex weights {1,3,..,2n-1} plus (n+1)(n+2)/2
-                       at the center; all distinct
-* wheel:      sval  -> rim weights {n+1, n+3, .., 3n-1}, center (n+1)(n+2)/2
-* tadpole:    saal  -> arc weights cover n+t+1 .. 2n+2t+1 except 2n+t+1
-              sv-al -> vertex weights n+t+1 .. 2n+2t
-* friendship: sa-al -> arc weights 2n+2 .. 5n+1
-* butterfly:  sa-al -> arc weights 2n .. 4n-1
-              sval  -> vertex weights {3} plus 2n+3 .. 4n
+where the labeling lands in a known weight class.  The rows of
+tests/claims.txt state each construction's class: its orientation, its
+verdict in n and t, its strong flag and, where it is antimagic, its
+weight set, over the n and t that the tests check.
 
 The path sa-al arc labels are 2n-i.  The 2n+1-i variant sometimes quoted
 for this family is not a total labeling at all: it uses the value 2n,
