@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each prints a PASS/FAIL line.
 
-Criteria 1 and 2 check the paper's claims, the rows of tests/claims.txt;
-criterion 1 runs one case per family member.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
+Criteria 1 and 2 check the paper's claims, the rows of tests/claims.txt.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria complete.  Everything asserts exact integer equality; the only
 tolerances are the per-criterion runtime budgets, which these runs sit
 far below.
@@ -10,10 +10,8 @@ far below.
 import json
 import re
 import time
-from pathlib import Path
 
-import pytest
-
+import claims
 from sublabel import (CONSTRUCTION_KINDS, DEFAULT_CAP, SearchQuery, Target,
                       TotalLabeling, Verdict, build_family, classify, construct,
                       dual, graceful_to_strong_saml, mu_bounds, search,
@@ -41,89 +39,24 @@ def zigzag_phi(n):
     return tuple(phi)
 
 
-CLAIMS = Path(__file__).resolve().parent / "claims.txt"
-COLUMNS = ("id", "family", "orientation", "n", "t", "side", "construction",
-           "flag", "weights", "verdict")
-
-
-def claims():
-    """Each row of tests/claims.txt as a dict of its columns; the verdict
-    is the rest of the line."""
-    rows = []
-    for line in CLAIMS.read_text().splitlines():
-        if line.strip() and not line.startswith("#"):
-            rows.append(dict(zip(COLUMNS, line.split(None, len(COLUMNS) - 1))))
-    return rows
-
-
-def span(field):
-    """The values of a range column: lo..hi inclusive, one value, or None
-    for `-`."""
-    if field == "-":
-        return [None]
-    lo, _, hi = field.partition("..")
-    return range(int(lo), int(hi or lo) + 1)
-
-
-def members(row):
-    """The (family, n, t) a row claims something of."""
-    return [(row["family"], n, t) for n in span(row["n"]) for t in span(row["t"])]
-
-
-def evaluate(expr, n, t):
-    return eval(expr, {"__builtins__": {}, "n": n, "t": t, "range": range, "set": set})
-
-
-def verdict(row, n, t):
-    kind, *params = row["verdict"].split()
-    return Verdict(kind, **{key: evaluate(value, n, t)
-                            for key, value in (p.split("=", 1) for p in params)})
-
-
-CLAIMED = claims()
-# the construction rows, each with the members it covers
-BUILT = [(row, members(row)) for row in CLAIMED if row["construction"] != "-"]
-ABSENT = [row for row in CLAIMED if row["construction"] == "-"]
-SWEEP = list(dict.fromkeys(m for _, covered in BUILT for m in covered))
-
-
-@pytest.mark.parametrize("family,n,t", [
-    pytest.param(*m, id="-".join(str(x) for x in m if x is not None)) for m in SWEEP])
-def test_criterion_1_construction_sweep(family, n, t):
+def test_criterion_1_construction_sweep():
     started = time.perf_counter()
-    bad = []
-    for row, covered in BUILT:
-        if (family, n, t) not in covered:
-            continue
-        g, l = construct(family, n, row["construction"], t=t)
-        c = classify(g, l)
-        arc = row["side"] == "arc"
-        got = (g.family.orientation or "-", c.arc_verdict if arc else c.vertex_verdict,
-               c.strong, c.strong_star)
-        want = (row["orientation"], verdict(row, n, t),
-                row["flag"] == "strong", row["flag"] == "strong*")
-        if got != want:
-            bad.append(f"{row['id']}: {got} != {want}")
-        if row["weights"] != "-":
-            p = weight_profile(g, l)
-            weights = set(p.arc_weights if arc else p.vertex_weights)
-            if weights != evaluate(row["weights"], n, t):
-                bad.append(f"{row['id']}: weights {sorted(weights)}")
+    bad = [f for family, n, t in claims.SWEEP for f in claims.failures(family, n, t)]
     elapsed = time.perf_counter() - started
-    # the whole sweep's budget of 10 s, shared out
-    report(f"criterion 1 (construction sweep, {family} n={n}" + (f" t={t})" if t else ")"),
-           not bad and elapsed < 10.0 / len(SWEEP),
-           f"{elapsed:.4f}s" + (f"; first failure {bad[0]}" if bad else ""))
+    report("criterion 1 (construction sweep)",
+           not bad and elapsed < 10.0,
+           f"{len(claims.SWEEP)} family members, {elapsed:.2f}s"
+           + (f"; first failure {bad[0]}" if bad else ""))
 
 
 def test_criterion_2_nonexistence_certificates():
     started = time.perf_counter()
     bad = []
     searched = past_cap = 0
-    for row in ABSENT:
+    for row in claims.ABSENT:
         assert (row["flag"], row["weights"], row["verdict"]) == ("-", "-", "none"), row["id"]
         orientation = None if row["orientation"] == "-" else row["orientation"]
-        for family, n, t in members(row):
+        for family, n, t in claims.members(row):
             g = build_family(family, n, t=t, orientation=orientation)
             q = SearchQuery(g, Target(row["side"], "magic"))
             if g.label_count > DEFAULT_CAP:
@@ -144,17 +77,17 @@ def test_criterion_2_nonexistence_certificates():
 
 
 def test_every_construction_has_a_claim():
-    assert {(row["family"], row["construction"]) for row, _ in BUILT} == \
+    assert {(row["family"], row["construction"]) for row, _ in claims.BUILT} == \
         {(family, kind) for family, kinds in CONSTRUCTION_KINDS.items() for kind in kinds}
 
 
 def test_readme_quotes_only_claims():
     # the README quotes rows in code blocks whose first line names the table
-    readme = (CLAIMS.parent.parent / "README.md").read_text()
+    readme = (claims.TABLE.parent.parent / "README.md").read_text()
     quoted = [line.split() for block in
               re.findall(r"```text\n# tests/claims.txt\n(.*?)```", readme, re.S)
               for line in block.splitlines() if line.strip()]
-    rows = [line.split() for line in CLAIMS.read_text().splitlines()]
+    rows = [line.split() for line in claims.TABLE.read_text().splitlines()]
     assert quoted
     assert [q for q in quoted if q not in rows] == []
 

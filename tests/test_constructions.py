@@ -1,10 +1,16 @@
-"""Constructor outputs against frozen values and the classifier."""
+"""Constructor outputs against frozen values and the classifier.
+
+The per-family tests parametrized on n (and t) check, one family member a
+case, the rows of tests/claims.txt that cover it, through
+claims.failures; acceptance criterion 1 sweeps every row.
+"""
 
 import re
 from pathlib import Path
 
 import pytest
 
+import claims
 from sublabel import (CONSTRUCTION_KINDS, GracefulInputError, ParameterError,
                       TotalLabeling, Verdict, build_family, classify, construct,
                       dual, graceful_to_strong_saml, validate_labeling,
@@ -35,12 +41,22 @@ def test_path_sv_al_frozen():
     assert classify(g, l).strong_star
 
 
+@pytest.mark.parametrize("n", range(2, 30))
+def test_path_classifications(n):
+    assert claims.failures("path", n) == []
+
+
 def test_cycle_frozen():
     g, l = construct("cycle", 3, "sa-sv-al")
     assert l == TotalLabeling((1, 2, 3), (5, 4, 6))
     p = weight_profile(g, l)
     assert p.arc_weights == (6, 5, 4)
     assert p.vertex_weights == (2, 3, 1)
+
+
+@pytest.mark.parametrize("n", range(3, 30))
+def test_cycle_both_sides_arithmetic(n):
+    assert claims.failures("cycle", n) == []
 
 
 def test_star_saml_frozen():
@@ -59,6 +75,11 @@ def test_star_sval_frozen():
     g, l = construct("star", 2, "sval")
     assert l == TotalLabeling((1, 4, 5), (3, 2))
     assert set(weight_profile(g, l).vertex_weights) == {6, 1, 3}
+
+
+@pytest.mark.parametrize("n", range(1, 30))
+def test_star_classifications(n):
+    assert claims.failures("star", n) == []
 
 
 # tests/claims.txt gives each construction's weight set; these say which
@@ -101,6 +122,11 @@ def test_wheel_frozen_n3():
     assert classify(g, l).vertex_verdict == Verdict.arithmetic(4, 2)
 
 
+@pytest.mark.parametrize("n", range(3, 25))
+def test_wheel_vertex_weight_set(n):
+    assert claims.failures("wheel", n) == []
+
+
 def test_wheel_n4_weights():
     g, l = construct("wheel", 4, "sval")
     vw = weight_profile(g, l).vertex_weights
@@ -130,11 +156,22 @@ def test_tadpole_sv_al_frozen():
     assert sorted(weight_profile(g, l).vertex_weights) == [6, 7, 8, 9, 10]
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("t", range(1, 8))
+def test_tadpole_classifications(n, t):
+    assert claims.failures("tadpole", n, t) == []
+
+
 def test_friendship_frozen_n2():
     g, l = construct("friendship", 2, "sa-al")
     assert l.vertex_labels == (1, 2, 4, 3, 5)
     assert l.arc_labels == (6, 8, 11, 7, 9, 10)
     assert sorted(weight_profile(g, l).arc_weights) == [6, 7, 8, 9, 10, 11]
+
+
+@pytest.mark.parametrize("n", range(1, 20))
+def test_friendship_classifications(n):
+    assert claims.failures("friendship", n) == []
 
 
 def test_butterfly_sa_al_frozen():
@@ -149,6 +186,11 @@ def test_butterfly_sval_frozen():
     assert l.vertex_labels == (7, 9, 8, 10, 11)
     assert l.arc_labels == (3, 1, 5, 4, 2, 6)
     assert set(weight_profile(g, l).vertex_weights) == {3, 9, 11, 10, 12}
+
+
+@pytest.mark.parametrize("n", range(3, 20))
+def test_butterfly_classifications(n):
+    assert claims.failures("butterfly", n) == []
 
 
 def test_friendship_and_butterfly_agree_on_the_shared_shape():
