@@ -92,11 +92,13 @@ Two enumerators produce the same results:
      weighs a label in a_lo..a_hi plus a base in v_lo - v_hi..v_hi - v_lo,
      and a vertex a label in v_lo..v_hi plus its reach window.  Every
      progression with the given a and d whose k terms lie in it is listed
-     once, under its S, by rising d.  Once the vertices are placed the
-     range narrows to the bases and labels placed, and the candidates are
-     the listed ones of the fixed S inside it.  Each weight of an
-     arithmetic target drops, once it is fixed, the candidates it is not
-     a term of, and a branch with none left is cut.  The vertex phase
+     once, under its S, by rising d, as its term mask of rule 3, the only
+     form a candidate takes.  Once the vertices are placed the range
+     narrows to the bases and labels placed, and the candidates are the
+     listed masks of the fixed S whose bits all lie in that range's
+     window mask.  Each weight of an arithmetic target drops, once it is
+     fixed, the candidates it is not a term of, and a branch with none
+     left is cut.  The vertex phase
      already cuts a prefix that can reach no listed S: vertex label x is
      placed at slot s only if S's prefix plus coef[s] * x plus
      rest[s + 1] meets a listed S.  Where rest[s + 1] is one value, as
@@ -108,27 +110,30 @@ Two enumerators produce the same results:
      off making every weight the side can reach a non-negative bit: N on
      the arc side, as no arc weighs less than 2 - N, and on the vertex side
      minus the least weight of the widest range of rule 2.  A seen-weight
-     mask holds the weights fixed so far, and each candidate a term mask of
-     its k terms, the one bit mu for a magic target.  A weight that passes
-     keeps the term masks that hold it; an antimagic target has no term mask, and
-     only the seen weights count.  An arc-side slot keeps a free-label mask
-     of the unused arc labels too.  Label l of an arc with base b weighs
+     mask holds the weights fixed so far, and each candidate is the term
+     mask of its k terms, a repunit of period d, or the one bit mu for a
+     magic target.  A weight that passes keeps the term masks that hold
+     it; an antimagic target has no term mask, and only the seen weights
+     count.  An arc-side slot keeps a free-label mask of the unused arc
+     labels too.  Label l of an arc with base b weighs
      l + b, so the slot offers the bits of the free-label mask under the OR
      of the kept term masks, less the seen weights, shifted down by b + N:
      exactly the labels whose weight is new and a term of a candidate
      left.  A vertex-side slot closes a vertex weight only at the vertex's
      last arc.  All candidates are centred on S / k, so the one with the
-     largest d spans the others, and the slot offers only the labels that
-     leave both endpoints able to reach that span within their reach
-     windows, then checks each weight it closes against the masks.  For a
-     vertex-magic target the span is mu..mu, so the last open arc of a
-     vertex has a forced label, and the weight it closes is mu, checked by
-     the span alone.
+     largest d, the last, spans the others, from its lowest bit to its
+     highest, and the slot offers only the labels that leave both
+     endpoints able to reach that span within their reach windows, then
+     checks each weight it closes against the masks.  For a vertex-magic
+     target the span is mu..mu, so the last open arc of a vertex has a
+     forced label, and the weight it closes is mu, checked by the span
+     alone.
 
   Arc-magic arc labels are all forced by rule 1 and are placed in one
-  pass.  Every leaf therefore holds k weights that are equal, or distinct
-  and for arithmetic targets all terms of one k-term progression, and is
-  counted without its weights being rebuilt or classified.
+  pass at the boundary.  Every leaf therefore holds k weights that are
+  equal, or distinct and for arithmetic targets all terms of one k-term
+  progression, and is counted without its weights being rebuilt or
+  classified.
 
   A count-all search also cuts the symmetry of the graph.  An
   automorphism maps vertex labels to vertex labels and arc labels to arc
@@ -212,11 +217,13 @@ class SearchCapError(ValueError):
     """The graph is too large for exhaustive search under the current cap."""
 
 
-def _require_int(value, name: str):
-    """Refuse a search parameter that is not an int; a bool is refused,
-    though Python counts it as an int."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_type(value, name: str, kind: type = int):
+    """Refuse a search parameter whose type is not exactly kind: an int
+    parameter refuses a bool, though Python counts it as an int, and a
+    flag refuses 0, 1 and None, though Python counts them as false or true."""
+    if type(value) is not kind:
+        what = "True or False" if kind is bool else "an integer"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class Target(Record):
@@ -239,7 +246,7 @@ class Target(Record):
             raise ValueError(f"a and d apply to arithmetic targets only, not to {kind}")
         for name, value in (("a", a), ("d", d)):
             if value is not None:
-                _require_int(value, name)
+                _require_type(value, name)
         if d is not None and d < 1:
             raise ValueError(f"the weight difference d must be at least 1, got {d}")
         self.__dict__.update(side=side, kind=kind, a=a, d=d)
@@ -261,10 +268,12 @@ class SearchQuery(Record):
     def __init__(self, graph: Digraph, target: Target, require_strong: bool = False,
                  require_strong_star: bool = False, mode: str = "count-all",
                  limit: int | None = None):
+        _require_type(require_strong, "require_strong", bool)
+        _require_type(require_strong_star, "require_strong_star", bool)
         if mode not in SEARCH_MODES:
             raise ValueError(f"unknown search mode {mode!r}")
         if limit is not None:
-            _require_int(limit, "limit")
+            _require_type(limit, "limit")
         if mode == "collect-up-to" and (limit is None or limit < 1):
             raise ValueError("collect-up-to mode needs a positive limit")
         if mode != "collect-up-to" and limit is not None:
@@ -332,13 +341,6 @@ class SearchReport(Record):
             "dual": self.dual,
             "elapsed": self.elapsed,
         }
-
-
-def _terms(k: int, a: int, d: int, off: int) -> int:
-    """The term mask of the progression a, a + d, .., a + (k-1)d: bit w + off
-    for each term w, a repunit of period d; the one bit a + off for the
-    one-term span of a magic target, whose d is 0."""
-    return ((1 << k * d) - 1) // ((1 << d) - 1) << a + off if d else 1 << a + off
 
 
 class _WitnessBound(Exception):
@@ -491,13 +493,13 @@ class _Kernel:
         """Rule 2's table of an arithmetic target: progs, sums and off.
 
         lo..hi is the widest range of rule 2, and progs maps each weight sum
-        S to the progressions (a, d, top) with the pinned a and d whose k
-        terms lie in lo..hi, by rising d; _boundary keeps those inside the
-        range its vertex labels allow.  off is the least S for labels in
-        v_lo..v_hi, each vertex taken alone, so it is at most S's prefix
-        plus the least of rest after it; sums has bit S - off set for each
-        key S of progs from off up.  Those above the greatest S are kept,
-        as no window reaches them.
+        S to the term masks of rule 3 of the progressions with the pinned a
+        and d whose k terms lie in lo..hi, by rising d; _boundary keeps
+        those inside the range its vertex labels allow.  off is the least S
+        for labels in v_lo..v_hi, each vertex taken alone, so it is at most
+        S's prefix plus the least of rest after it; sums has bit S - off
+        set for each key S of progs from off up.  Those above the greatest
+        S are kept, as no window reaches them.
         """
         t, v_lo, v_hi = self.target, self.v_lo, self.v_hi
         arc = t.side == "arc"
@@ -506,16 +508,20 @@ class _Kernel:
         self.progs = progs = {}
         if k >= 2:  # a side of fewer than two weights is magic
             if arc:
-                lo, hi = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo
+                lo, hi, w_off = self.a_lo + v_lo - v_hi, self.a_hi + v_hi - v_lo, self.N
             else:
-                lo, hi = -self.w_off, v_hi + max([r for _, r in self.v_reach])
+                lo, hi, w_off = -self.w_off, v_hi + max([r for _, r in self.v_reach]), self.w_off
             half = k * (k - 1) // 2
             for d in (t.d,) if t.d else range(1, (hi - lo) // (k - 1) + 1):
                 a0, a1 = lo, hi - (k - 1) * d
                 if t.a is not None:
                     a0, a1 = max(a0, t.a), min(a1, t.a)
+                # the term mask of rule 3, bit w + w_off (N on the arc side)
+                # for each term w of a, a + d, .., a + (k-1)d: a repunit of
+                # period d
+                unit = ((1 << k * d) - 1) // ((1 << d) - 1)
                 for a in range(a0, a1 + 1):
-                    progs.setdefault(k * a + d * half, []).append((a, d, a + (k - 1) * d))
+                    progs.setdefault(k * a + d * half, []).append(unit << a + w_off)
         self.sums = sum([1 << s - off for s in progs if s >= off])  # distinct S, distinct bits
 
     def _vertex_magic_tables(self, g: Digraph):
@@ -907,25 +913,33 @@ class _Kernel:
         """All vertex labels placed, with rule 1's masks mus and vmask and
         the weight sum S; set up the arc phase.
 
-        Rule 1 has settled an arc-magic target, and left a vertex-magic one
-        the one mu = S / V.  Where no part has two or more free arcs, the
-        vertex-magic completions are counted from the masks of rule 1: a
-        count-all search adds them, and a witness search walks the arc
-        phase only where there is one.  For any other S fixes the candidate
-        progressions (a, d, top): the one-term span (mu, 0, mu) of a
-        vertex-magic target, those of rule 2 for an arithmetic target, None
-        for an antimagic one.
+        Rule 1 has left a magic target the one mu = S / k.  On the arc side
+        it forces every arc label mu - base, placed here in arc order and
+        unchecked: the mask kept them in a_lo..a_hi and distinct from each
+        other and from the vertex labels.  Where no part has two or more
+        free arcs, the vertex-magic completions are counted from the masks
+        of rule 1: a count-all search adds them, and a witness search walks
+        the arc phase only where there is one.  For any other S fixes the
+        candidates as term masks (rule 3): the one bit mu + w_off of a
+        vertex-magic target, for an arithmetic target those of progs[S]
+        inside the range of weights that the vertex labels allow, None for
+        an antimagic one.
         """
-        vl = self.vl
+        vl, n = self.vl, self.N
         if self.mirror:
             # rule 5: F is vl[0] plus the greatest label on P, at most N + 1
             f = vl[0] + max([vl[v] for v in self.mirror])
-            self.weight = 1 if f == self.N + 1 else 2
-        if self.arc_magic:
-            self._arcs_arc_magic(mus)
-            return
-        if self.vertex_magic:
-            mu = mus.bit_length() - 1 - self.N  # the one mu rule 1 left
+            self.weight = 1 if f == n + 1 else 2
+        t = self.target
+        arc = t.side == "arc"
+        terms = None
+        if t.kind == "magic":
+            mu = mus.bit_length() - 1 - n  # the one mu rule 1 left
+            if arc:
+                self.al[:] = [mu - vl[h] + vl[v] for v, h in zip(self.tails, self.heads)]
+                self.nodes += self.A
+                self._leaf()
+                return
             if self.cycles is not None:
                 # no part has two or more free arcs: count the completions,
                 # and walk them only for the witnesses
@@ -935,50 +949,41 @@ class _Kernel:
                     return
                 if not found:
                     return
-        t = self.target
-        arc = t.side == "arc"
-        k = self.A if arc else self.V
-        if k < 2 and t.kind != "magic":
+            terms = [1 << mu + self.w_off]
+        elif (self.A if arc else self.V) < 2:
             return  # no weight or a single one classifies as magic
-        cands = None
-        if t.kind == "magic":
-            cands = [(mu, 0, mu)]
         elif t.kind == "arithmetic":
+            # bits lo..hi of the window stand for the weights in reach
             if arc:
                 bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
-                lo, hi = self.a_lo + min(bases), self.a_hi + max(bases)
+                lo, hi = self.a_lo + min(bases) + n, self.a_hi + max(bases) + n
             else:
-                lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach))
-                hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach))
-            cands = [c for c in self.progs.get(S, ()) if c[0] >= lo and c[2] <= hi]
-            if not cands:
+                lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach)) + self.w_off
+                hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach)) + self.w_off
+            window = (2 << hi) - (1 << lo)
+            terms = [m for m in self.progs.get(S, ()) if m & window == m]
+            if not terms:
                 return
         if arc:
-            # bit w + N stands for arc weight w >= 2 - N; each candidate
-            # becomes the mask of its k terms, a repunit of period d
-            terms = None if cands is None else [_terms(k, a, d, self.N) for a, d, _ in cands]
             self._arc_slot_arc(0, self.arc_window & ~vmask, 0, terms)
             return
-        # bit w + w_off stands for vertex weight w; each candidate becomes
-        # (term mask, a, top).  Vertex-side targets track partial vertex
-        # weights through the arc phase; an isolated vertex's weight is its
-        # label, final already, and distinct from the others
+        # vertex-side targets track partial vertex weights through the arc
+        # phase; an isolated vertex's weight is its label, final already,
+        # and distinct from the others
         off, seen = self.w_off, 0
-        if cands is not None:
-            cands = [(_terms(k, a, d, off), a, top) for a, d, top in cands]
         self.pw = list(vl)
         for v in self.isolated:
             bit = 1 << vl[v] + off
-            if cands is not None:
-                cands = [c for c in cands if c[0] & bit]
-                if not cands:
+            if terms is not None:
+                terms = [m for m in terms if m & bit]
+                if not terms:
                     return
             seen |= bit
         # the arc loop reads the vertex labels from used
         used = self.used
         for x in vl:
             used[x] = True
-        self._arc_slot_vertex(0, cands, seen)
+        self._arc_slot_vertex(0, terms, seen)
         for x in vl:
             used[x] = False
 
@@ -1008,18 +1013,6 @@ class _Kernel:
         return count
 
     # -- arc phase, arc-side targets ------------------------------------
-
-    def _arcs_arc_magic(self, mus: int):
-        """Place the arc labels mu - base, in arc order, with the one mu
-        that rule 1 left in mus.  The mask kept them in a_lo..a_hi and
-        distinct from each other and from the vertex labels, so none is
-        checked; a digraph without arcs has no label to place."""
-        mu = mus.bit_length() - 1 - self.N
-        al, vl = self.al, self.vl
-        for k, (tail, head) in enumerate(zip(self.tails, self.heads)):
-            al[k] = mu - vl[head] + vl[tail]
-        self.nodes += self.A
-        self._leaf()
 
     def _arc_slot_arc(self, k: int, free: int, seen: int, terms):
         """Arc-side antimagic or arithmetic slot k: free has a bit per unused
@@ -1061,25 +1054,26 @@ class _Kernel:
 
     # -- arc phase, vertex-side targets ----------------------------------
 
-    def _arc_slot_vertex(self, k: int, cands, seen: int):
-        """Vertex-side slot k: cands holds the (term mask, a, top) of each
-        candidate progression a..top that every closed weight is a term of
-        (None for antimagic), by rising d, and seen a bit w + w_off per
-        vertex weight w closed so far.  Each unused label in the range that
-        keeps both endpoints able to reach the last candidate's span is
-        placed, and the weights it closes are cut where their bit is in seen
-        or in no term mask left."""
+    def _arc_slot_vertex(self, k: int, terms, seen: int):
+        """Vertex-side slot k: terms holds the term masks of the candidates
+        that every closed weight is a term of (None for antimagic), by
+        rising d, and seen a bit w + w_off per vertex weight w closed so
+        far.  Each unused label in the range that keeps both endpoints able
+        to reach the span of the last mask, from its lowest bit to its
+        highest, is placed, and the weights it closes are cut where their
+        bit is in seen or in no term mask left."""
         if k == self.A:
             self._leaf()
             return
         ti, hi_v = self.tails[k], self.heads[k]
         al, used, pw, off = self.al, self.used, self.pw, self.w_off
         lo, hi = self.a_lo, self.a_hi
-        if cands is not None:
+        if terms is not None:
             # the final weights of both endpoints must reach the widest
             # candidate; for magic targets this forces the label of an arc
             # that closes an endpoint.  Unrolled: min() and max() cost more.
-            _, slo, shi = cands[-1]
+            top = terms[-1]
+            slo, shi = (top & -top).bit_length() - 1 - off, top.bit_length() - 1 - off
             t_lo, t_hi, h_lo, h_hi = self.reach[k]
             x = pw[ti] + t_lo - shi
             if x > lo:
@@ -1103,16 +1097,16 @@ class _Kernel:
             pw[ti] -= lab
             pw[hi_v] += lab
             if not closes:
-                self._arc_slot_vertex(k + 1, cands, seen)
+                self._arc_slot_vertex(k + 1, terms, seen)
             else:
-                keep, now = cands, seen
+                keep, now = terms, seen
                 for v in closes:
                     bit = 1 << pw[v] + off
                     if now & bit:
                         break
                     now |= bit
                     if keep is not None:
-                        keep = [c for c in keep if c[0] & bit]
+                        keep = [m for m in keep if m & bit]
                         if not keep:
                             break
                 else:
@@ -1187,8 +1181,8 @@ def search(query: SearchQuery, *, cap: int = DEFAULT_CAP, workers: int = 1,
     enumerator instead, a permutation filter over `classify`; it too runs
     in this process, whatever `workers` is.
     """
-    _require_int(workers, "workers")
-    _require_int(cap, "cap")
+    _require_type(workers, "workers")
+    _require_type(cap, "cap")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if cap < 0:

@@ -1,35 +1,17 @@
-"""Pruning rules of the search kernel against the reference enumerator.
+"""Pruning rules of the search kernel, checked against the reference
+enumerator and against the labels placed.  The rules themselves are
+stated once, as rules 1-5 of the `sublabel.search` module docstring.
 
-The magic rule keeps, as a bitmask, the magic constants that the labels
-placed so far allow.  On the arc side it drops every mu that would force
-an arc label outside the label range, onto a placed label or onto
-another arc's label, or that the arc count times mu, the arc weight sum,
-cannot meet with the labels still to place, which leaves exactly one mu
-once the vertices are placed; a circuit bounds the mu it starts from.
-On the vertex side each vertex keeps the mu inside its weight window and
-the bound from the remaining labels' sum, a component's last vertex
-fixes mu by the component's label sum, and the tree arcs of a spanning
-forest, written as soon as their side is placed, drop every mu that
-leaves some part no value in its label mask: the forced part, a
-single-free-arc part or a part with two or more free arcs.  Every vertex
-label rechecks each part with an arc written so far.  Where no part has
-two or more free arcs the completions are counted from those masks: a
-count-all search adds the count, and a witness search walks the arc
-phase only below a vertex prefix whose count is not 0.  Distinctness
-targets cut duplicate weights as soon as they are fixed.  An arithmetic
-target cuts a vertex prefix whose weight sum, bounded over the labels
-still to place, no progression can take, and in the arc phase keeps only
-the progressions that the fixed weight sum allows and that every fixed
-weight is a term of.  Both sides check each new weight against a
-seen-weight mask and the candidates' term masks.  On the vertex side
-magic and arithmetic targets also keep each vertex able to reach the
-widest candidate progression, the one term mu for a magic target.  The
-weight sum and the vertex-label mask that the vertex phase carries down
-are checked against the labels placed at every boundary.  The pruned
-kernel must agree with the reference enumerator on random digraphs for
-every target kind, and the node counts of the searches in
-tests/pinned_searches.txt are pinned so that any change to the rules
-shows."""
+Checked here: the pruned kernel against the reference enumerator on
+random digraphs for every target kind, strong flag and mode, at one
+worker and split over two, with explicit examples for cases that a rule
+once got wrong; at every boundary, the weight sum and the vertex-label
+mask that the vertex phase carries down, and the candidate term masks
+that each arc loop starts from; rule 2's progression table; the
+arc-magic mu bounds; the symmetry and dual cuts against plain
+enumeration; the node and solution counts of tests/pinned_searches.txt,
+so that any change to the rules shows, and that the README quotes no
+other count; and the refusal of bad search parameters."""
 
 import hashlib
 import json
@@ -287,6 +269,127 @@ def test_vertex_phase_carries_the_weight_sum_and_the_label_mask(graph, target, s
     assert kernel.boundaries or not count
 
 
+def vertex_moves(q):
+    """(least, greatest) of what its arcs add to each vertex's weight, its
+    in-arc labels less its out-arc labels, by brute force over distinct
+    arc labels."""
+    graph = q.graph
+    v, a, n = graph.vertex_count, graph.arc_count, graph.label_count
+    a_labels = range(v + 1 if q.require_strong else 1, (a if q.require_strong_star else n) + 1)
+    moves = []
+    for u in range(v):
+        ins = [k for k, (_, h) in enumerate(graph.arcs) if h == u]
+        outs = [k for k, (t, _) in enumerate(graph.arcs) if t == u]
+        sums = [sum(p[:len(ins)]) - sum(p[len(ins):])
+                for p in permutations(a_labels, len(ins) + len(outs))]
+        moves.append((min(sums), max(sums)))
+    return moves
+
+
+def boundary_candidates(q, vl, moves):
+    """The term masks that the arc loop of a magic or arithmetic target
+    should start from below the vertex labels vl, from g.arcs and vl
+    alone: the one bit mu + off of a vertex-magic target; for an
+    arithmetic one, by rising d, each k-term progression with the pinned
+    a and d whose sum is the weight sum and whose terms lie in the range
+    the labels allow, as bit w + off for each term w.  A vertex-side list
+    keeps only the masks that hold each isolated vertex's weight, its
+    label.  [] where no arc loop starts: an arc-magic target, whose arc
+    labels are all forced, a side of fewer than two weights, or no
+    candidate left.  off is N on the arc side and minus the least weight
+    any vertex can reach on the vertex side; moves is vertex_moves(q)."""
+    g, t, n = q.graph, q.target, q.graph.label_count
+    arc = t.side == "arc"
+    k = g.arc_count if arc else g.vertex_count
+    if t.kind == "magic" and arc or t.kind != "magic" and k < 2:
+        return []
+    if arc:
+        a_lo = g.vertex_count + 1 if q.require_strong else 1
+        a_hi = g.arc_count if q.require_strong_star else n
+        bases = [vl[h] - vl[u] for u, h in g.arcs]
+        S = n * (n + 1) // 2 - sum(vl) + sum(bases)
+        lo, hi, off = a_lo + min(bases), a_hi + max(bases), n
+    else:
+        S = sum(vl)
+        lo = min(x + m for x, (m, _) in zip(vl, moves))
+        hi = max(x + m for x, (_, m) in zip(vl, moves))
+        off = -(g.arc_count + 1 if q.require_strong_star else 1) - min(m for m, _ in moves)
+    if t.kind == "magic":
+        assert S % k == 0
+        progressions = [(S // k, 0)]
+    else:
+        progressions = [((S - d * k * (k - 1) // 2) // k, d) for d in range(1, hi - lo + 1)
+                        if (S - d * k * (k - 1) // 2) % k == 0]
+        progressions = [(a, d) for a, d in progressions if lo <= a and a + (k - 1) * d <= hi
+                        and t.a in (None, a) and t.d in (None, d)]
+    masks = [sum({1 << a + i * d + off for i in range(k)}) for a, d in progressions]
+    if not arc:
+        for u in range(g.vertex_count):
+            if all(u not in e for e in g.arcs):
+                masks = [m for m in masks if m >> vl[u] + off & 1]
+    return masks
+
+
+class CandidateKernel(_Kernel):
+    """A kernel that checks the candidates each arc loop receives at arc 0
+    against boundary_candidates, and that an arc loop starts exactly where
+    there are candidates."""
+
+    def _boundary(self, mus, vmask, S):
+        if self.moves is None:
+            self.moves = vertex_moves(self.query)
+        self.want = boundary_candidates(self.query, self.vl, self.moves)
+        self.started = False
+        super()._boundary(mus, vmask, S)
+        # a vertex-magic boundary on a digraph of single-free-arc parts
+        # counts its completions, and walks them only for a witness
+        if not (self.vertex_magic and self.cycles is not None):
+            assert self.started == (self.want != [])
+
+    def _start(self, terms):
+        assert terms == self.want
+        self.started = True
+        self.starts += 1
+
+    def _arc_slot_arc(self, k, free, seen, terms):
+        if k == 0:
+            self._start(terms)
+        super()._arc_slot_arc(k, free, seen, terms)
+
+    def _arc_slot_vertex(self, k, terms, seen):
+        if k == 0:
+            self._start(terms)
+        super()._arc_slot_vertex(k, terms, seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_digraphs(),
+       target=targets().filter(lambda t: t.kind != "antimagic"),
+       strong=st.booleans(),
+       strong_star=st.booleans(),
+       mode=st.sampled_from(("count-all", "first-witness")))
+# without the window filter, and with the window one bit narrower at
+# either end or one bit wider, the arc loop starts from other candidates
+@example(graph=Digraph(2, ((0, 1),)), target=Target("vertex", "arithmetic"), strong=False,
+         strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (0, 2))), target=Target("arc", "arithmetic"), strong=False,
+         strong_star=False, mode="count-all")
+@example(graph=Digraph(2, ((0, 1), (1, 0))), target=Target("arc", "arithmetic"), strong=False,
+         strong_star=False, mode="count-all")
+# a part of two free arcs keeps the vertex-magic arc loop, which starts
+# from the one bit mu + w_off
+@example(graph=Digraph(3, ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0))),
+         target=Target("vertex", "magic"), strong=False, strong_star=False, mode="count-all")
+def test_each_arc_loop_starts_from_the_candidates_the_labels_allow(graph, target, strong,
+                                                                     strong_star, mode):
+    kernel = CandidateKernel(SearchQuery(graph, target, require_strong=strong,
+                                         require_strong_star=strong_star, mode=mode))
+    kernel.moves, kernel.starts = None, 0
+    count, *_ = kernel.run()
+    # every solution below an arc loop lies below a checked start
+    assert kernel.starts or not count or target.kind == "magic"
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph=small_digraphs())
 @example(graph=Digraph(2, ((0, 1),)))
@@ -396,13 +499,8 @@ def widest_range(q):
     if q.target.side == "arc":
         bases = [h - t for t in v_labels for h in v_labels if h != t]
         return min(a_labels) + min(bases), max(a_labels) + max(bases)
-    moves = []
-    for u in range(v):
-        ins = [k for k, (_, h) in enumerate(graph.arcs) if h == u]
-        outs = [k for k, (t, _) in enumerate(graph.arcs) if t == u]
-        moves += [sum(p[:len(ins)]) - sum(p[len(ins):])
-                  for p in permutations(a_labels, len(ins) + len(outs))]
-    return min(v_labels) + min(moves), max(v_labels) + max(moves)
+    moves = vertex_moves(q)
+    return min(v_labels) + min(m for m, _ in moves), max(v_labels) + max(m for _, m in moves)
 
 
 @pytest.mark.parametrize("graph,target,flags", [
@@ -422,18 +520,21 @@ def widest_range(q):
         "tadpole-3-2-sv-al-a6-d1", "path-4-sv-al-a1-strong-star", "out-star-sv-al-d3-strong",
         "one-arc-sa-al", "one-vertex-sv-al"])
 def test_progression_table_lists_every_progression_in_the_widest_range(graph, target, flags):
-    # progs maps each weight sum to its k-term progressions (a, d, top),
-    # with the pinned a and d, inside the widest range, by rising d
+    # progs maps each weight sum to the term masks of its k-term
+    # progressions, with the pinned a and d, inside the widest range, by
+    # rising d: bit w + off for term w, off being N on the arc side and
+    # minus the least weight on the vertex side
     q = SearchQuery(graph, target, **flags)
     k = graph.arc_count if target.side == "arc" else graph.vertex_count
     expected = {}
     if k >= 2:
         lo, hi = widest_range(q)
+        off = graph.label_count if target.side == "arc" else -lo
         for d in range(1, hi - lo + 1):
             for a in range(lo, hi - (k - 1) * d + 1):
                 if target.a in (None, a) and target.d in (None, d):
                     expected.setdefault(k * a + d * k * (k - 1) // 2, []).append(
-                        (a, d, a + (k - 1) * d))
+                        sum(1 << a + i * d + off for i in range(k)))
     assert _Kernel(q).progs == expected
     # no case of two or more weights passes on an empty table
     assert bool(expected) == (k >= 2)
@@ -626,6 +727,15 @@ def test_search_parameters_refuse_non_integers(name, call):
     q = SearchQuery(build_family("path", 3), Target("arc", "arithmetic"))
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         call(q)
+
+
+# require_strong="no" was searched as strong (cycle(3) saal found 36
+# solutions, not 648) and echoed in the report; 0 and None passed as false
+@pytest.mark.parametrize("name", ["require_strong", "require_strong_star"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_query_refuses_a_strong_flag_that_is_not_a_bool(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be True or False, got {value!r}"):
+        SearchQuery(build_family("cycle", 3), Target("arc", "antimagic"), **{name: value})
 
 
 def test_import_leaves_the_process_pool_out():
