@@ -32,8 +32,11 @@ Two enumerators produce the same results:
      As k * mu = S, vertex label x at slot s keeps only the mu whose
      k * mu lies in S's prefix plus coef[s] * x plus rest[s + 1], and the
      slot offers only the x that keep some mu between the lowest and the
-     highest left.  Once the vertices are placed S is known, and on a
-     side with k > 0 it leaves at most one mu.  The seed holds the mu
+     highest left.  At an arc-side slot of coefficient 0 that cuts no x:
+     _window ignores a zero coefficient, so rest[s] = rest[s + 1], and the
+     mask already holds only the mu whose k * mu lies in S's prefix plus
+     rest[s].  Once the vertices are placed S is known, and on a side with
+     k > 0 it leaves at most one mu.  The seed holds the mu
      whose k * mu lies in s0 plus rest[0], inside the side's own window:
      on the arc side every arc label mu - b in 1..N puts mu in
      2 - N..2N - 1, and around a circuit of c arcs the vertex labels
@@ -109,25 +112,28 @@ Two enumerators produce the same results:
      candidate left.  Both are bitmask tests, with bit w + off for weight w,
      off making every weight the side can reach a non-negative bit: N on
      the arc side, as no arc weighs less than 2 - N, and on the vertex side
-     minus the least weight of the widest range of rule 2.  A seen-weight
-     mask holds the weights fixed so far, and each candidate is the term
-     mask of its k terms, a repunit of period d, or the one bit mu for a
-     magic target.  A weight that passes keeps the term masks that hold
-     it; an antimagic target has no term mask, and only the seen weights
-     count.  An arc-side slot keeps a free-label mask of the unused arc
-     labels too.  Label l of an arc with base b weighs
-     l + b, so the slot offers the bits of the free-label mask under the OR
-     of the kept term masks, less the seen weights, shifted down by b + N:
-     exactly the labels whose weight is new and a term of a candidate
-     left.  A vertex-side slot closes a vertex weight only at the vertex's
-     last arc.  All candidates are centred on S / k, so the one with the
-     largest d, the last, spans the others, from its lowest bit to its
-     highest, and the slot offers only the labels that leave both
-     endpoints able to reach that span within their reach windows, then
-     checks each weight it closes against the masks.  For a vertex-magic
-     target the span is mu..mu, so the last open arc of a vertex has a
-     forced label, and the weight it closes is mu, checked by the span
-     alone.
+     minus the least weight of the widest range of rule 2.  The boundary
+     writes each weight's fixed part once, as its bit: base + N for an arc,
+     to which its label adds, and label + off for a vertex, to which its
+     arcs add and from which they take; both arc loops start from these
+     bits and add no offset.  A seen-weight mask holds the weights fixed
+     so far, and each candidate is the term mask of its k terms, a
+     repunit of period d, or the one bit mu for a magic target.  A weight
+     that passes keeps the term masks that hold it; an antimagic target
+     has no term mask, and only the seen weights count.  An arc-side slot
+     keeps a free-label mask of the unused arc labels too.  Label l of an
+     arc with base b weighs l + b, so the slot offers the bits of the
+     free-label mask under the OR of the kept term masks, less the seen
+     weights, shifted down by b + N, its base's bit: exactly the labels
+     whose weight is new and a term of a candidate left.  A vertex-side
+     slot closes a vertex weight only at the vertex's last arc.  All
+     candidates are centred on S / k, so the one with the largest d, the
+     last, spans the others, from its lowest bit to its highest, and the
+     slot offers only the labels that leave both endpoints able to reach
+     that span within their reach windows, then checks each weight it
+     closes against the masks.  For a vertex-magic target the span is
+     mu..mu, so the last open arc of a vertex has a forced label, and the
+     weight it closes is mu, checked by the span alone.
 
   Arc-magic arc labels are all forced by rule 1 and are placed in one
   pass at the boundary.  Every leaf therefore holds k weights that are
@@ -174,12 +180,13 @@ Two enumerators produce the same results:
      F = N+1.
 
   The reach windows, and which vertex weights an arc settles, depend only
-  on the arc order, so they are tabled once per kernel.  The vertex phase
-  and the arc-side loops count a node only for a placement that passes
-  their rules, and the last arc of an arc-side count-all search, which has
-  one free label, is counted without a call; the vertex-side arc loop
-  counts every placement of an unused label in the slot's narrowed range
-  and checks the settled weights after it;
+  on the arc order, so they are tabled once per kernel, one row per arc:
+  its tail and head, their reach windows after it, and the endpoints it
+  closes.  The vertex phase and the arc-side loops count a node only for
+  a placement that passes their rules, and the last arc of an arc-side
+  count-all search, which has one free label, is counted without a call;
+  the vertex-side arc loop counts every placement of an unused label in
+  the slot's narrowed range and checks the settled weights after it;
 * the reference enumerator (`_reference`) is the oracle: it walks every
   permutation of 1..N in slot order and filters the labelings through
   the classifier.  It shares no code with the kernel.
@@ -193,7 +200,7 @@ The search space is N!, so the entry point refuses graphs beyond a cap
 target and on the symmetry of the graph far more than on N.  The README
 quotes measured node counts and times for magic, arithmetic and
 antimagic targets; each count is a row of tests/pinned_searches.txt,
-which the tests and CI run.
+which the tests run.
 """
 
 from __future__ import annotations
@@ -364,9 +371,9 @@ class _Kernel:
 
     # slots keep attribute access in the inner loops fast however many
     # attributes the rules add
-    __slots__ = ("query", "target", "V", "A", "N", "tails", "heads", "s0",
+    __slots__ = ("query", "target", "V", "A", "N", "s0",
                  "v_lo", "v_hi", "a_lo", "a_hi", "arc_magic", "vertex_magic",
-                 "completes", "arc_window", "coef", "closes", "reach",
+                 "completes", "arc_window", "coef", "rows",
                  "v_reach", "isolated", "above", "automorphisms", "mirror", "mu_seed",
                  "rest", "sums", "off", "progs", "forms", "comps", "fq", "parts", "cycles",
                  "count", "weight", "nodes", "wits", "cap", "used", "vl", "al", "w_off", "pw")
@@ -379,8 +386,6 @@ class _Kernel:
         self.V = g.vertex_count
         self.A = g.arc_count
         self.N = g.label_count
-        self.tails = [t for t, _ in g.arcs]
-        self.heads = [h for _, h in g.arcs]
         in_deg, out_deg = g.in_degrees(), g.out_degrees()
         # label domains, narrowed by the strong flags
         v_lo, v_hi, a_lo, a_hi = 1, self.N, 1, self.N
@@ -440,13 +445,14 @@ class _Kernel:
         if not arc:
             # vertex-side tables, fixed by the arc order; no arc-side rule
             # reads them.  window(v) is the reach window of v over its arcs
-            # still open: v_reach[v] before the first arc, and reach[k] those
-            # of the tail, then the head of arc k after it, 0, 0 once k is
-            # its last arc.  w_off is minus the least weight any vertex can
-            # reach: bit w + w_off of rule 3's masks stands for vertex weight
-            # w.  closes[k] lists the endpoints (tail first) whose last arc
-            # is k, whose weights rule 3's masks check; a magic weight closed
-            # inside rule 3's span is mu, so magic targets check none.
+            # still open, v_reach[v] before the first arc.  w_off is minus
+            # the least weight any vertex can reach: bit w + w_off of rule
+            # 3's masks stands for vertex weight w.  rows[k], the row of arc
+            # k, is its tail, its head, the reach windows of the tail, then
+            # the head after it (0, 0 once k is its last arc), and the
+            # endpoints (tail first) whose last arc is k, whose weights rule
+            # 3's masks check; a magic weight closed inside rule 3's span is
+            # mu, so magic targets check none.
             rin, rout = in_deg[:], out_deg[:]
 
             def window(v):
@@ -455,13 +461,13 @@ class _Kernel:
             self.v_reach = [window(v) for v in range(self.V)]
             self.w_off = -v_lo - min([lo for lo, _ in self.v_reach], default=0)
             self.isolated = [v for v in range(self.V) if in_deg[v] == 0 == out_deg[v]]
-            self.closes, self.reach = [], []
+            self.rows = []
             for tail, head in g.arcs:
                 rout[tail] -= 1
                 rin[head] -= 1
-                self.closes.append(() if t.kind == "magic" else
-                                   tuple(v for v in (tail, head) if rin[v] == 0 == rout[v]))
-                self.reach.append(window(tail) + window(head))
+                closes = () if t.kind == "magic" else \
+                    tuple(v for v in (tail, head) if rin[v] == 0 == rout[v])
+                self.rows.append((tail, head, *window(tail), *window(head), closes))
         # rule 1's seed: bit mu + N is set for each mu that both k * mu in
         # s0 + rest[0] and the side's own window allow.  On the arc side a
         # forced label mu - b in 1..N needs mu in 2 - N..2N - 1, and the
@@ -516,6 +522,8 @@ class _Kernel:
                 a0, a1 = lo, hi - (k - 1) * d
                 if t.a is not None:
                     a0, a1 = max(a0, t.a), min(a1, t.a)
+                if a0 > a1:
+                    continue  # no a fits: a pinned d may be far too wide
                 # the term mask of rule 3, bit w + w_off (N on the arc side)
                 # for each term w of a, a + d, .., a + (k-1)d: a repunit of
                 # period d
@@ -619,14 +627,6 @@ class _Kernel:
                             if arcs and arcs[0][0] <= s) for s in range(V)]
         self.cycles = self.parts[-1] if all(len(part) < 2 for *_, part in written) else None
 
-    def first_labels(self) -> list[int]:
-        """Slot-0 label choices, in canonical order (for branch splitting):
-        those of _slot_labels(0)."""
-        if not self.V:
-            return []
-        lo, hi = self._slot_labels(0)
-        return list(range(lo, hi + 1))
-
     def run(self, first_label: int | None = None):
         """Explore the tree (or the branch under first_label).
 
@@ -666,8 +666,8 @@ class _Kernel:
 
         Rule 4: above the label of each base point whose basic orbit holds
         s.  Rule 5: vl[0] + vl[s] <= N + 1 on P, so vl[0] <= (N + 1) // 2.
-        Slot 0 reads no placed label, so first_labels may call this before
-        run().
+        Slot 0 reads no placed label, so _split may call this before run()
+        for its first labels.
         """
         lo, hi = self.v_lo, self.v_hi
         for b in self.above[s]:
@@ -751,7 +751,10 @@ class _Kernel:
         if rest_lo > rest_hi:
             return  # the labels after s do not fit in v_lo..v_hi
         # A * mu lies in s_lo + c * x..s_hi + c * x, which must meet
-        # A * mlo..A * mhi: c * x in A * mlo - s_hi..A * mhi - s_lo
+        # A * mlo..A * mhi: c * x in A * mlo - s_hi..A * mhi - s_lo.  At
+        # c = 0 they meet already: _window ignores a zero coefficient, so
+        # rest[s] == rest[s + 1], and mus holds only the mu with A * mu in
+        # S + rest[s], by the seed at slot 0 and each slot's mask after it
         c = self.coef[s]
         s_lo, s_hi = S + rest_lo, S + rest_hi
         least, most = A * mlo - s_hi, A * mhi - s_lo
@@ -759,8 +762,6 @@ class _Kernel:
             lo, hi = max(lo, -(-least // c)), min(hi, most // c)
         elif c < 0:
             lo, hi = max(lo, -(-most // c)), min(hi, least // c)
-        elif least > 0 or most < 0:
-            return
         for x in range(lo, hi + 1):
             bit = 1 << x
             if vmask & bit:
@@ -913,6 +914,11 @@ class _Kernel:
         """All vertex labels placed, with rule 1's masks mus and vmask and
         the weight sum S; set up the arc phase.
 
+        pw holds the bit of rule 3 of each weight's fixed part, the part
+        the vertex labels fix: base + N for each arc, to which its label
+        adds, and label + w_off for each vertex, to which its arcs add and
+        from which they take.  Both arc loops start from it.
+
         Rule 1 has left a magic target the one mu = S / k.  On the arc side
         it forces every arc label mu - base, placed here in arc order and
         unchecked: the mask kept them in a_lo..a_hi and distinct from each
@@ -932,11 +938,13 @@ class _Kernel:
             self.weight = 1 if f == n + 1 else 2
         t = self.target
         arc = t.side == "arc"
+        if arc:
+            self.pw = pw = [vl[h] - vl[v] + n for v, h in self.query.graph.arcs]
         terms = None
         if t.kind == "magic":
             mu = mus.bit_length() - 1 - n  # the one mu rule 1 left
             if arc:
-                self.al[:] = [mu - vl[h] + vl[v] for v, h in zip(self.tails, self.heads)]
+                self.al[:] = [mu + n - p for p in pw]
                 self.nodes += self.A
                 self._leaf()
                 return
@@ -952,14 +960,15 @@ class _Kernel:
             terms = [1 << mu + self.w_off]
         elif (self.A if arc else self.V) < 2:
             return  # no weight or a single one classifies as magic
-        elif t.kind == "arithmetic":
+        if not arc:
+            self.pw = pw = [x + self.w_off for x in vl]
+        if t.kind == "arithmetic":
             # bits lo..hi of the window stand for the weights in reach
             if arc:
-                bases = [vl[h] - vl[v] for v, h in zip(self.tails, self.heads)]
-                lo, hi = self.a_lo + min(bases) + n, self.a_hi + max(bases) + n
+                lo, hi = self.a_lo + min(pw), self.a_hi + max(pw)
             else:
-                lo = min(x + lo for x, (lo, _) in zip(vl, self.v_reach)) + self.w_off
-                hi = max(x + hi for x, (_, hi) in zip(vl, self.v_reach)) + self.w_off
+                lo = min(p + lo for p, (lo, _) in zip(pw, self.v_reach))
+                hi = max(p + hi for p, (_, hi) in zip(pw, self.v_reach))
             window = (2 << hi) - (1 << lo)
             terms = [m for m in self.progs.get(S, ()) if m & window == m]
             if not terms:
@@ -969,16 +978,12 @@ class _Kernel:
             return
         # vertex-side targets track partial vertex weights through the arc
         # phase; an isolated vertex's weight is its label, final already,
-        # and distinct from the others
-        off, seen = self.w_off, 0
-        self.pw = list(vl)
-        for v in self.isolated:
-            bit = 1 << vl[v] + off
-            if terms is not None:
-                terms = [m for m in terms if m & bit]
-                if not terms:
-                    return
-            seen |= bit
+        # and distinct from the others, so their bits add up to the seen mask
+        seen = sum([1 << pw[v] for v in self.isolated])
+        if terms is not None:
+            terms = [m for m in terms if m & seen == seen]
+            if not terms:
+                return
         # the arc loop reads the vertex labels from used
         used = self.used
         for x in vl:
@@ -1022,7 +1027,7 @@ class _Kernel:
         the labels allowed are the bits of free whose weight bit is in some
         kept term mask and not in seen.  The last arc has one free label: a
         count-all search counts it without a call."""
-        shift = self.vl[self.heads[k]] - self.vl[self.tails[k]] + self.N
+        shift = self.pw[k]
         if terms is None:
             labels = free & ~(seen >> shift)
         else:
@@ -1058,23 +1063,23 @@ class _Kernel:
         """Vertex-side slot k: terms holds the term masks of the candidates
         that every closed weight is a term of (None for antimagic), by
         rising d, and seen a bit w + w_off per vertex weight w closed so
-        far.  Each unused label in the range that keeps both endpoints able
-        to reach the span of the last mask, from its lowest bit to its
-        highest, is placed, and the weights it closes are cut where their
-        bit is in seen or in no term mask left."""
+        far; pw[v] is the bit of vertex v's weight so far, its label and
+        the arcs placed.  Each unused label in the range that keeps both
+        endpoints able to reach the span of the last mask, from its lowest
+        bit to its highest, is placed, and the weights it closes are cut
+        where their bit is in seen or in no term mask left."""
         if k == self.A:
             self._leaf()
             return
-        ti, hi_v = self.tails[k], self.heads[k]
-        al, used, pw, off = self.al, self.used, self.pw, self.w_off
+        ti, hi_v, t_lo, t_hi, h_lo, h_hi, closes = self.rows[k]
+        al, used, pw = self.al, self.used, self.pw
         lo, hi = self.a_lo, self.a_hi
         if terms is not None:
             # the final weights of both endpoints must reach the widest
             # candidate; for magic targets this forces the label of an arc
             # that closes an endpoint.  Unrolled: min() and max() cost more.
             top = terms[-1]
-            slo, shi = (top & -top).bit_length() - 1 - off, top.bit_length() - 1 - off
-            t_lo, t_hi, h_lo, h_hi = self.reach[k]
+            slo, shi = (top & -top).bit_length() - 1, top.bit_length() - 1
             x = pw[ti] + t_lo - shi
             if x > lo:
                 lo = x
@@ -1087,7 +1092,6 @@ class _Kernel:
             x = shi - h_lo - pw[hi_v]
             if x < hi:
                 hi = x
-        closes = self.closes[k]
         for lab in range(lo, hi + 1):
             if used[lab]:
                 continue
@@ -1101,7 +1105,7 @@ class _Kernel:
             else:
                 keep, now = terms, seen
                 for v in closes:
-                    bit = 1 << pw[v] + off
+                    bit = 1 << pw[v]
                     if now & bit:
                         break
                     now |= bit
@@ -1219,7 +1223,8 @@ def _split(kernel: _Kernel, workers: int) -> list:
     """
     from signal import SIGKILL  # imported here: only the split uses it
 
-    labels = kernel.first_labels()
+    lo, hi = kernel._slot_labels(0)
+    labels = range(lo, hi + 1)
     shares = [labels[r::workers] for r in range(min(workers, len(labels)))]
     running, reads = {}, []
     try:
@@ -1256,7 +1261,7 @@ def _split(kernel: _Kernel, workers: int) -> list:
     return [results[i % workers][i // workers] for i in range(len(labels))]
 
 
-def _child(kernel: _Kernel, labels: list, write: int):
+def _child(kernel: _Kernel, labels: range, write: int):
     """A forked worker: run the branches under labels, write their
     (count, nodes) pairs, or the exception, to the pipe, and leave through
     os._exit, so that it never returns into the caller's code nor flushes

@@ -11,6 +11,8 @@ import json
 import re
 import time
 
+import pytest
+
 import claims
 from sublabel import (CONSTRUCTION_KINDS, DEFAULT_CAP, SearchQuery, Target,
                       TotalLabeling, Verdict, build_family, classify, construct,
@@ -230,6 +232,7 @@ def test_criterion_7_pruned_equals_reference():
            + (f"; {bad[0]}" if bad else ""))
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_criterion_8_worker_determinism():
     started = time.perf_counter()
     queries = [

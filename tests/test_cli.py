@@ -453,6 +453,7 @@ def test_construct_verify_round_trip_full_sweep(capsys, tmp_path):
         assert got == want, (family, n, t, kind)
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_search_workers_flag(capsys):
     code1, out1, _ = run(capsys, "search", "--family", "cycle", "--n", "3",
                          "--class", "saal", "--workers", "1")

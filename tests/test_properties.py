@@ -8,7 +8,8 @@ dual's weights are the reflection that the kernel's dual cut rests on: it
 keeps the arc-side classes, and the vertex-side ones where every vertex has
 in-degree equal to out-degree.  The search kernel's reach windows, how
 far the arcs still open can move a vertex weight, must hold every
-labeling, also one drawn to meet a strong flag.  The documents' to_json is pinned to
+labeling, also one drawn to meet a strong flag, and each arc's row must
+name the vertices whose last arc it is.  The documents' to_json is pinned to
 json.dumps(indent=2) byte for byte, and the sort-free bijection and strong
 checks to their sorted definitions.  On a cactus every arc outside a
 spanning forest closes one cycle of its own, so a count-all vertex-magic
@@ -110,9 +111,13 @@ def test_vertex_weights_lie_in_the_kernel_reach_windows(case):
         lo, hi = kernel.v_reach[v]
         assert lo <= moved(v, arcs) <= hi
     for k, (tail, head) in arcs:
-        t_lo, t_hi, h_lo, h_hi = kernel.reach[k]
+        row_tail, row_head, t_lo, t_hi, h_lo, h_hi, closes = kernel.rows[k]
+        assert (row_tail, row_head) == (tail, head)
         assert t_lo <= moved(tail, arcs[k + 1:]) <= t_hi
         assert h_lo <= moved(head, arcs[k + 1:]) <= h_hi
+        # arc k closes vertex v, tail first, exactly when k is v's last arc
+        assert closes == tuple(v for v in (tail, head)
+                               if all(v not in arc for _, arc in arcs[k + 1:]))
     # bit w + w_off of the seen and term masks stands for vertex weight w
     assert all(w + kernel.w_off >= 0 for w in weight_profile(g, l).vertex_weights)
 
@@ -240,6 +245,7 @@ def cacti(draw):
     return Digraph(v, tuple(draw(st.permutations([(order[a], order[b]) for a, b in arcs]))))
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @settings(max_examples=200, deadline=None)
 @given(graph=cacti(), strong=st.booleans(), strong_star=st.booleans())
 # 10 labels: two tree arcs of the 4-cycle get k + c and k - c, which meet

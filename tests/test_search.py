@@ -146,6 +146,7 @@ def test_collect_up_to_truncates_deterministically():
     assert not some.exhaustive
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_worker_counts_do_not_change_results():
     g = build_family("cycle", 3)
     for target in (Target("arc", "antimagic"), Target("vertex", "magic")):
@@ -169,6 +170,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("family,n,target,first_labels", [
     ("cycle", 4, Target("arc", "antimagic"), 4),
@@ -178,7 +180,8 @@ def assert_no_child_left():
 ])
 def test_split_leaves_no_child(family, n, target, first_labels, workers, monkeypatch):
     q = SearchQuery(build_family(family, n), target)
-    assert len(_Kernel(q).first_labels()) == first_labels
+    lo, hi = _Kernel(q)._slot_labels(0)
+    assert hi - lo + 1 == first_labels
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -196,6 +199,7 @@ def test_split_leaves_no_child(family, n, target, first_labels, workers, monkeyp
     assert_no_child_left()
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_split_caller_interrupt_kills_its_children(monkeypatch):
     caller, run = os.getpid(), _Kernel.run
 
@@ -211,6 +215,7 @@ def test_split_caller_interrupt_kills_its_children(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_split_child_failure_raises_and_never_returns_a_short_count(monkeypatch):
     caller, run = os.getpid(), _Kernel.run
 

@@ -7,7 +7,8 @@ random digraphs for every target kind, strong flag and mode, at one
 worker and split over two, with explicit examples for cases that a rule
 once got wrong; at every boundary, the weight sum and the vertex-label
 mask that the vertex phase carries down, and the candidate term masks
-that each arc loop starts from; rule 2's progression table; the
+and the fixed-weight bits that each arc loop starts from; rule 2's
+progression table, and that a window ignores a zero coefficient; the
 arc-magic mu bounds; the symmetry and dual cuts against plain
 enumeration; the node and solution counts of tests/pinned_searches.txt,
 so that any change to the rules shows, and that the README quotes no
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from sublabel import (Digraph, SearchCapError, SearchQuery, Target, build_family,
                       classify, longest_circuit, mu_bounds, search)
 from sublabel.cli import main
-from sublabel.search import _Kernel, _report
+from sublabel.search import _Kernel, _report, _window
 
 MAX_LABELS = 8
 
@@ -62,7 +63,8 @@ def split_in_process(q):
     kernel = _Kernel(q)
     if q.witness_cap or not q.graph.label_count:
         return _report(q, [kernel.run()], kernel, 0.0)
-    return _report(q, [kernel.run(lab) for lab in kernel.first_labels()], kernel, 0.0)
+    lo, hi = kernel._slot_labels(0)
+    return _report(q, [kernel.run(lab) for lab in range(lo, hi + 1)], kernel, 0.0)
 
 
 def examples(*cases):
@@ -78,6 +80,7 @@ def examples(*cases):
 
 # generated examples compare the split in this process, as forked workers
 # per example make a failure slower to shrink; the explicit examples fork
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(graph=small_digraphs(),
@@ -390,6 +393,81 @@ def test_each_arc_loop_starts_from_the_candidates_the_labels_allow(graph, target
     assert kernel.starts or not count or target.kind == "magic"
 
 
+class FixedWeightKernel(_Kernel):
+    """A kernel that checks pw, the bit of each weight's fixed part, where
+    each arc loop starts and where the arc-magic labels are forced, against
+    the bits computed from g.arcs and vl alone: base + N for each arc, and
+    label + off for each vertex, off minus the least weight any vertex can
+    reach."""
+
+    def _check(self):
+        g, vl, n = self.query.graph, self.vl, self.query.graph.label_count
+        if self.target.side == "arc":
+            want = [vl[h] - vl[t] + n for t, h in g.arcs]
+        else:
+            if self.moves is None:
+                self.moves = vertex_moves(self.query)
+            v_lo = g.arc_count + 1 if self.query.require_strong_star else 1
+            off = -v_lo - min(m for m, _ in self.moves)
+            want = [x + off for x in vl]
+        assert self.pw == want
+        self.checks += 1
+
+    def _arc_slot_arc(self, k, free, seen, terms):
+        if k == 0:
+            self._check()
+        super()._arc_slot_arc(k, free, seen, terms)
+
+    def _arc_slot_vertex(self, k, terms, seen):
+        if k == 0:
+            self._check()
+        super()._arc_slot_vertex(k, terms, seen)
+
+    def _leaf(self):
+        if self.arc_magic:
+            self._check()
+        super()._leaf()
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_digraphs(),
+       target=targets(),
+       strong=st.booleans(),
+       strong_star=st.booleans(),
+       mode=st.sampled_from(("count-all", "first-witness")))
+# each side with each kind
+@example(graph=Digraph(3, ((0, 1), (1, 2))), target=Target("vertex", "antimagic"),
+         strong=False, strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (0, 2))), target=Target("vertex", "arithmetic"),
+         strong=False, strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0))),
+         target=Target("vertex", "magic"), strong=False, strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (1, 2))), target=Target("arc", "antimagic"),
+         strong=False, strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (0, 2))), target=Target("arc", "arithmetic"),
+         strong=False, strong_star=False, mode="count-all")
+@example(graph=Digraph(3, ((0, 1), (1, 2), (2, 0))), target=Target("arc", "magic"),
+         strong=False, strong_star=False, mode="first-witness")
+def test_each_arc_loop_starts_from_the_fixed_weight_bits(graph, target, strong, strong_star,
+                                                         mode):
+    kernel = FixedWeightKernel(SearchQuery(graph, target, require_strong=strong,
+                                           require_strong_star=strong_star, mode=mode))
+    kernel.moves, kernel.checks = None, 0
+    count, *_ = kernel.run()
+    # every solution lies below a check, but for the vertex-magic
+    # completions that a count-all search counts without an arc loop
+    assert kernel.checks or not count or kernel.vertex_magic and not kernel.cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.lists(st.integers(-4, 4), max_size=6), lo=st.integers(-5, 10),
+       width=st.integers(0, 12))
+def test_window_ignores_a_zero_coefficient(cs, lo, width):
+    # so rest[s] == rest[s + 1] at a vertex of coefficient 0, and the
+    # arc-magic slot's mu window needs no check there
+    assert _window([0] + cs, lo, lo + width) == _window(cs, lo, lo + width)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph=small_digraphs())
 @example(graph=Digraph(2, ((0, 1),)))
@@ -433,6 +511,7 @@ def witness_bound(args):
     return int(mode == "first-witness")
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @pytest.mark.parametrize("nodes,solutions,args",
                          [pytest.param(*row[1:], id=row[0]) for row in PINNED])
 def test_pinned_node_counts(nodes, solutions, args, capsys, monkeypatch):
@@ -561,6 +640,7 @@ def test_count_all_equals_the_plain_enumeration_on_symmetric_graphs(graph, targe
     assert count_all.solutions_found == every_witness(graph, target, **flags)[0] == solutions
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @pytest.mark.parametrize("query,automorphisms,dual", [
     (SearchQuery(build_family("cycle", 6), Target("vertex", "magic")), 6, True),
     (SearchQuery(build_family("star", 5, orientation="out"), Target("arc", "magic")), 120, True),
@@ -588,6 +668,7 @@ def test_reference_reports_no_automorphism_factor():
 # non-trivial group (star(4,out)) or moved (the cycles); it must stay off
 # where the dual leaves the class: a vertex side whose in- and out-degrees
 # differ, a pinned a and the strong flags
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 @pytest.mark.parametrize("query,dual,solutions", [
     (SearchQuery(build_family("path", 5, orientation="forward"), Target("arc", "arithmetic")),
      True, 5048),
@@ -619,11 +700,13 @@ def test_dual_cut_counts_every_labeling(query, dual, solutions):
 # widest weight range: an arc of star(3) weighs at most 7 + 6, so none
 # starts at 100 (checked in the arc phase only, 294 nodes), and two
 # isolated vertices weigh their labels 1 and 2, too close for d = 2 (a
-# first-witness search, as the dual cut would leave only the label 1)
+# first-witness search, as the dual cut would leave only the label 1); a
+# d this wide ends at once, though its term mask would have 3 * 10**7 bits
 @pytest.mark.parametrize("query", [
     SearchQuery(build_family("star", 3), Target("arc", "arithmetic", 100, 1)),
     SearchQuery(Digraph(2, ()), Target("vertex", "arithmetic", d=2), mode="first-witness"),
-], ids=["star-3-sa-al-a100-d1", "two-vertices-sv-al-d2-first-witness"])
+    SearchQuery(build_family("path", 4), Target("arc", "arithmetic", d=10 ** 7)),
+], ids=["star-3-sa-al-a100-d1", "two-vertices-sv-al-d2-first-witness", "path-4-sa-al-d10000000"])
 def test_a_class_that_no_weight_range_reaches_visits_no_node(query):
     report = search(query)
     assert (report.nodes_visited, report.solutions_found, report.exhaustive) == (0, 0, True)
@@ -652,6 +735,7 @@ def test_witness_modes_report_the_same_at_two_workers(query):
     assert two == one
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # fork warns if threads run
 def test_count_all_nodes_are_the_same_at_two_workers():
     for q in (SearchQuery(build_family("tadpole", 3, t=2), Target("arc", "magic")),
               SearchQuery(build_family("cycle", 4), Target("vertex", "arithmetic")),
